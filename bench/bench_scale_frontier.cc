@@ -27,9 +27,6 @@ struct ScalePoint {
   double rss_after_mb = 0.0;
   double bytes_per_client = 0.0;
   double alloc_delta = 0.0;
-  double auto_wall_seconds = 0.0;      // same point under --regime auto
-  double auto_ticks_per_second = 0.0;
-  double regime_speedup = 0.0;         // discrete wall / auto wall
 };
 
 std::string key(double scale, const char* suffix) {
@@ -81,25 +78,6 @@ int main() {
     }
     pt.rss_after_mb = bench::peak_rss_mb();
     pt.alloc_delta = static_cast<double>(bench::alloc_count() - alloc_before);
-    // Same point with the adaptive analytic/fluid regime layer on: idle and
-    // lightly-loaded stations serve from closed forms instead of per-tick
-    // loops (DESIGN.md "Service regimes").
-    {
-      Scenario scenario = make_consolidated_scenario(opt);
-      SimulatorConfig cfg;
-      cfg.threads = bench::bench_threads();
-      cfg.regime_mode = RegimeMode::kAuto;
-      GdiSimulator sim(std::move(scenario), cfg);
-
-      bench::Stopwatch watch;
-      sim.run_for(hours * 3600.0);
-      pt.auto_wall_seconds = watch.seconds();
-      pt.auto_ticks_per_second = pt.auto_wall_seconds > 0
-                                     ? static_cast<double>(sim.loop().now()) / pt.auto_wall_seconds
-                                     : 0.0;
-      pt.regime_speedup =
-          pt.auto_wall_seconds > 0 ? pt.wall_seconds / pt.auto_wall_seconds : 0.0;
-    }
     pt.ticks_per_second = pt.wall_seconds > 0 ? pt.sim_ticks / pt.wall_seconds : 0.0;
     pt.realtime_ratio =
         pt.wall_seconds > 0 ? hours * 3600.0 / pt.wall_seconds : 0.0;
@@ -116,9 +94,6 @@ int main() {
     json.set(key(scale, "peak_rss_mb"), pt.rss_after_mb);
     json.set(key(scale, "bytes_per_client"), pt.bytes_per_client);
     json.set(key(scale, "alloc_delta"), pt.alloc_delta);
-    json.set(key(scale, "auto_wall_seconds"), pt.auto_wall_seconds);
-    json.set(key(scale, "auto_ticks_per_second"), pt.auto_ticks_per_second);
-    json.set(key(scale, "regime_speedup"), pt.regime_speedup);
   }
 
   // The frontier: largest sustainable scale (and its client count).
@@ -132,13 +107,11 @@ int main() {
   json.set("max_sustainable_scale", frontier_scale);
   json.set("max_sustainable_clients", frontier_clients);
 
-  TableReport t(
-      {"Scale", "Clients", "Ticks/s", "xRealtime", "PeakRSS MB", "B/client", "Auto x"});
+  TableReport t({"Scale", "Clients", "Ticks/s", "xRealtime", "PeakRSS MB", "B/client"});
   for (const ScalePoint& pt : points) {
     t.add_row({TableReport::fmt(pt.scale, 2), TableReport::fmt(pt.clients, 0),
                TableReport::fmt(pt.ticks_per_second, 0), TableReport::fmt(pt.realtime_ratio, 1),
-               TableReport::fmt(pt.rss_after_mb, 1), TableReport::fmt(pt.bytes_per_client, 0),
-               TableReport::fmt(pt.regime_speedup, 2)});
+               TableReport::fmt(pt.rss_after_mb, 1), TableReport::fmt(pt.bytes_per_client, 0)});
   }
   t.print(std::cout);
   std::cout << "\nMax sustainable scale on this host: " << frontier_scale << " ("

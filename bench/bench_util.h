@@ -46,12 +46,13 @@ inline bool fast_mode() {
   return v != nullptr && v[0] == '1';
 }
 
+/// Worker threads for benches that do not sweep thread counts themselves.
+/// Serial (0: phases run inline) by default — on the 24 h consolidated day
+/// worker threads only add barrier cost. GDISIM_BENCH_THREADS overrides.
 inline std::size_t bench_threads() {
   const char* v = std::getenv("GDISIM_BENCH_THREADS");
   if (v != nullptr) return static_cast<std::size_t>(std::atoi(v));
-  // Default to the host's spare parallelism; 0 => run phases inline.
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 1 ? hw - 1 : 0;
+  return 0;
 }
 
 /// Machine-readable bench results: an ordered flat map of string/number

@@ -44,16 +44,6 @@ std::size_t Scenario::total_logged_in(const std::string& app_prefix, DcId dc) co
   return n;
 }
 
-std::size_t Scenario::total_logged_in_at(Tick t, const std::string& app_prefix, DcId dc) const {
-  std::size_t n = 0;
-  for (const auto& p : populations) {
-    if (!app_prefix.empty() && p->config().name.rfind(app_prefix, 0) != 0) continue;
-    if (dc != kInvalidDc && p->config().dc != dc) continue;
-    n += p->logged_in_at(t);
-  }
-  return n;
-}
-
 std::size_t Scenario::total_active(const std::string& app_prefix, DcId dc) const {
   std::size_t n = 0;
   for (const auto& p : populations) {
@@ -93,11 +83,8 @@ std::vector<std::string> install_standard_probes(Collector& collector, Scenario&
     }
   }
   Scenario* sc = &scenario;
-  // Tick-indexed waterline: the lazy form is bit-identical to the stateful
-  // logged_in() at sample times, and stays exact while coalesced populations
-  // sleep through quiet scan boundaries (DESIGN.md §10).
-  collector.add_probe("clients/logged_in", [sc](Tick now) {
-    return static_cast<double>(sc->total_logged_in_at(now));
+  collector.add_probe("clients/logged_in", [sc](Tick) {
+    return static_cast<double>(sc->total_logged_in());
   });
   labels.push_back("clients/logged_in");
   collector.add_probe("clients/active", [sc](Tick) {

@@ -19,9 +19,7 @@
 #include "background/synchrep.h"
 #include "config/builder.h"
 #include "metrics/collector.h"
-#include "queueing/service_regime.h"
 #include "software/client.h"
-#include "software/route_cache.h"
 
 namespace gdisim {
 
@@ -37,11 +35,6 @@ struct Scenario {
   std::unique_ptr<Topology> topology;
   std::unique_ptr<OperationContext> ctx;  // ARCHIVE-TRANSIENT: stateless routing wiring built with the scenario
   std::unique_ptr<OperationCatalog> catalog;  // ARCHIVE-TRANSIENT: immutable operation specs built with the scenario
-  /// Route memoization (DESIGN.md §10); constructed by GdiSimulator when
-  /// SimulatorConfig::route_cache is on, null otherwise. Derived state only:
-  /// snapshot restore rebuilds it through the topology's route-state
-  /// listeners, so it is never archived.
-  std::unique_ptr<RouteCache> route_cache;  // ARCHIVE-TRANSIENT: derived cache; rebuilt via route-state listeners on restore
   DataGrowthModel growth;  // ARCHIVE-TRANSIENT: construction-time configuration
   AccessPatternMatrix apm;  // ARCHIVE-TRANSIENT: construction-time configuration
   DcId master_dc = 0;  // ARCHIVE-TRANSIENT: build-time structure; SnapshotCompat guards shape instead
@@ -49,10 +42,6 @@ struct Scenario {
   /// Population/hardware scale the scenario was built with (1.0 for
   /// unscaled/config-file scenarios unless a loader override was given).
   double scale = 1.0;  // ARCHIVE-TRANSIENT: build-time structure; SnapshotCompat guards shape instead
-
-  /// Service-regime policy (loader `regime` block; default: every station
-  /// discrete). SimulatorConfig::regime_mode overrides the mode only.
-  RegimePolicy regime;  // ARCHIVE-TRANSIENT: construction-time policy; per-station regime state is archived with each component
 
   std::vector<std::unique_ptr<ClientPopulation>> populations;
   std::vector<std::unique_ptr<SeriesLauncher>> launchers;
@@ -72,11 +61,6 @@ struct Scenario {
   /// Sum of logged-in / active clients across populations (optionally
   /// filtered by application prefix and/or data center).
   std::size_t total_logged_in(const std::string& app_prefix = "", DcId dc = kInvalidDc) const;
-  /// Tick-indexed form of total_logged_in: the waterline as of the last scan
-  /// boundary before `t`, exact even while coalesced populations sleep
-  /// through quiet boundaries (their stateful logged_in() can lag).
-  std::size_t total_logged_in_at(
-      Tick t, const std::string& app_prefix = "", DcId dc = kInvalidDc) const;
   std::size_t total_active(const std::string& app_prefix = "", DcId dc = kInvalidDc) const;
 };
 

@@ -20,7 +20,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -164,25 +163,6 @@ class Agent {
 #endif
 };
 
-/// Process-wide batched-post window flag (DESIGN.md §10 "Inbox post
-/// batching"). The simulation loop opens the window for the span of its
-/// agent phases and flushes deferred posts at every phase barrier; senders
-/// that support batching (Component::submit) check the flag and defer the
-/// inbox bookkeeping while it is open. The flag is written only by the
-/// master thread between phases (the engine barrier publishes the store to
-/// the workers), and a window never spans a loop-iteration boundary, so two
-/// simulators stepping alternately in one process cannot observe each
-/// other's window.
-class PostBatchWindow {
- public:
-  static bool open() { return open_; }
-  static void set_open(bool v) { open_ = v; }
-
- private:
-  // GDISIM-SHARED: master-written between phases only; workers read it inside a phase after the engine barrier publishes the store
-  static inline bool open_ = false;
-};
-
 /// A timestamped delivery from one agent to another.
 template <typename T>
 struct Delivery {
@@ -258,63 +238,6 @@ class Inbox {
     s.pending.push_back(Delivery<T>{visible_at, sender, seq, std::move(payload)});
     s.lock.unlock();
     if (owner_ != nullptr) owner_->request_wake();
-  }
-
-  /// Deferred post (DESIGN.md §10 "Inbox post batching"): inside a
-  /// PostBatchWindow the delivery is staged in the shard immediately — the
-  /// payload moves exactly once, same as post() — but the occupancy counters
-  /// and the owner's wake request are deferred to flush_deferred_all() at
-  /// the next phase barrier: one counter update and one wake request per
-  /// (inbox, shard) touched in the window instead of one per delivery.
-  ///
-  /// Soundness:
-  ///   * All deferred deliveries carry visible_at strictly after any tick a
-  ///     concurrent drain could be absorbing (senders stamp now + 1 and the
-  ///     loop flushes before the phase that would drain them), so a drain
-  ///     walking the shard mid-window leaves them in place and the counters
-  ///     never underflow.
-  ///   * empty()/size() stay conservative while deferred posts are pending,
-  ///     exactly like an unbatched post that has not yet synchronized with
-  ///     the reader.
-  ///   * The flush runs before the loop's next admission point
-  ///     (drain_woken / the rearm re-query), so wake requests are never
-  ///     observed later than their unbatched equivalents.
-  /// Drains merge and sort on (visible_at, sender, seq), so deferral is
-  /// invisible to results.
-  void post_deferred(Tick visible_at, AgentId sender, std::uint64_t seq, T payload) {
-    if (serial_) {
-      check_serial_owner();
-      Shard& s = shards_[0];
-      s.pending.push_back(Delivery<T>{visible_at, sender, seq, std::move(payload)});
-      if (s.deferred++ == 0) deferred_dirty().push_back(DirtyRef{this, 0});
-      return;
-    }
-    const std::size_t si = this_thread_shard() & (kShards - 1);
-    Shard& s = shards_[si];
-    s.lock.lock();
-    s.pending.push_back(Delivery<T>{visible_at, sender, seq, std::move(payload)});
-    // The 0 -> 1 transition happens under the shard lock, so exactly one
-    // thread registers this (inbox, shard) pair per window — in its own
-    // thread-local dirty list, which needs no lock of its own.
-    const bool first = s.deferred++ == 0;
-    s.lock.unlock();
-    if (first) deferred_dirty().push_back(DirtyRef{this, static_cast<std::uint32_t>(si)});
-  }
-
-  /// Master-only, at a phase barrier (no poster running): settles the
-  /// deferred occupancy bookkeeping for every (inbox, shard) any thread
-  /// touched since the last flush and issues one wake request per inbox
-  /// shard. Cost is proportional to the number of *destinations* posted to,
-  /// not the number of deliveries.
-  static void flush_deferred_all() {
-    GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kInbox);
-    DeferredRegistry& reg = deferred_registry();
-    reg.lock.lock();
-    for (const auto& list : reg.lists) {
-      for (const DirtyRef& ref : *list) ref.inbox->flush_deferred_shard(ref.shard);
-      list->clear();
-    }
-    reg.lock.unlock();
   }
 
   /// Removes all deliveries with visible_at <= now into `ready` (cleared
@@ -491,65 +414,8 @@ class Inbox {
     /// Deliveries staged in this shard; same conservative semantics as
     /// approx_size_ but lets the drain skip empty shards' locks.
     std::atomic<std::uint32_t> count{0};
-    /// Deliveries sitting in `pending` that are not yet reflected in the
-    /// occupancy counters (post_deferred since the last flush). Mutated only
-    /// under the shard lock (or serially), read by the master at barriers.
-    std::uint32_t deferred = 0;  // ARCHIVE-TRANSIENT: always zero between steps; windows never span a barrier
     std::vector<Delivery<T>> pending;
   };
-
-  /// One (inbox, shard) pair with deferred bookkeeping to settle.
-  struct DirtyRef {
-    Inbox* inbox;  // NOLINT(gdisim-snapshot-ptr) transient within one phase window
-    std::uint32_t shard;
-  };
-  struct DeferredRegistry {
-    SpinLock lock;
-    /// Per-thread dirty lists (owned here so thread exit never dangles a
-    /// flush); threads append their own list on first deferred post.
-    std::vector<std::unique_ptr<std::vector<DirtyRef>>> lists;
-  };
-  static DeferredRegistry& deferred_registry() {
-    // Lists are registered under the lock; their contents are written only
-    // by the owning thread inside a phase and read/cleared only by the
-    // master at a phase barrier, when every poster is quiescent.
-    // GDISIM-SHARED: process-wide registry of per-thread dirty lists
-    static DeferredRegistry reg;
-    return reg;
-  }
-  static std::vector<DirtyRef>& deferred_dirty() {
-    // GDISIM-SHARED: per-thread staging list; written only by this thread inside a phase, read/cleared by the master at barriers via the registry
-    thread_local std::vector<DirtyRef>* mine = nullptr;
-    if (mine == nullptr) {
-      auto owned = std::make_unique<std::vector<DirtyRef>>();
-      mine = owned.get();
-      DeferredRegistry& reg = deferred_registry();
-      reg.lock.lock();
-      reg.lists.push_back(std::move(owned));
-      reg.lock.unlock();
-    }
-    return *mine;
-  }
-
-  /// Settles one shard's deferred count: bulk counter update plus a single
-  /// wake request, replacing the per-post bookkeeping the window elided.
-  void flush_deferred_shard(std::uint32_t si) {
-    Shard& s = shards_[si];
-    const std::uint32_t n = s.deferred;  // barrier: no poster is running
-    if (n == 0) return;
-    s.deferred = 0;
-    if (serial_) {
-      check_serial_owner();
-      s.count.store(s.count.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-      approx_size_.store(approx_size_.load(std::memory_order_relaxed) +
-                             static_cast<std::int64_t>(n),
-                         std::memory_order_relaxed);
-    } else {
-      s.count.fetch_add(n, std::memory_order_release);
-      approx_size_.fetch_add(static_cast<std::int64_t>(n), std::memory_order_release);
-    }
-    if (owner_ != nullptr) owner_->request_wake();
-  }
 
   std::array<Shard, kShards> shards_;
   Agent* owner_ = nullptr;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: bound at construction

@@ -20,8 +20,6 @@ const char* category_name(Category c) {
       return "san";
     case Category::kOperation:
       return "operation";
-    case Category::kAnalyticJob:
-      return "analytic";
     case Category::kCount:
       break;
   }
@@ -39,8 +37,6 @@ struct State {
   std::atomic<std::uint64_t> completed[kCategories] = {};
   std::atomic<std::uint64_t> drain_hash{0};
   std::atomic<std::uint64_t> failures{0};
-  std::atomic<std::uint64_t> regime_to_analytic{0};
-  std::atomic<std::uint64_t> regime_to_discrete{0};
   std::atomic<FailureHandler> handler{nullptr};
 };
 
@@ -108,12 +104,6 @@ void check_drained(Category c, const char* what) {
   if (r.live(c) != 0) fail(what);
 }
 
-void regime_switch(bool to_analytic) {
-  State& s = state();
-  (to_analytic ? s.regime_to_analytic : s.regime_to_discrete)
-      .fetch_add(1, std::memory_order_relaxed);
-}
-
 Report snapshot() {
   State& s = state();
   Report r;
@@ -123,8 +113,6 @@ Report snapshot() {
   }
   r.drain_hash = s.drain_hash.load(std::memory_order_relaxed);
   r.failures = s.failures.load(std::memory_order_relaxed);
-  r.regime_to_analytic = s.regime_to_analytic.load(std::memory_order_relaxed);
-  r.regime_to_discrete = s.regime_to_discrete.load(std::memory_order_relaxed);
   return r;
 }
 
@@ -136,8 +124,6 @@ void reset() {
   }
   s.drain_hash.store(0, std::memory_order_relaxed);
   s.failures.store(0, std::memory_order_relaxed);
-  s.regime_to_analytic.store(0, std::memory_order_relaxed);
-  s.regime_to_discrete.store(0, std::memory_order_relaxed);
 }
 
 #endif  // GDISIM_AUDIT_ENABLED

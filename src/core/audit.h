@@ -32,7 +32,6 @@ enum class Category : unsigned {
   kRaidJob,       ///< RAID pipeline jobs (dacc + fork-join)
   kSanJob,        ///< SAN pipeline jobs
   kOperation,     ///< OperationInstance cascades
-  kAnalyticJob,   ///< jobs admitted to a station's analytic regime
   kCount
 };
 
@@ -50,12 +49,6 @@ struct Report {
   /// Invariant violations observed (nonzero only when a non-aborting
   /// failure handler is installed).
   std::uint64_t failures = 0;
-  /// Service-regime transitions (Component::set_regime). A station may only
-  /// switch with an empty discipline queue, so together with the
-  /// kAnalyticJob conservation pair these prove no job is minted or dropped
-  /// across a discrete<->analytic handoff.
-  std::uint64_t regime_to_analytic = 0;
-  std::uint64_t regime_to_discrete = 0;
 
   std::uint64_t live(Category c) const {
     const auto i = static_cast<unsigned>(c);
@@ -110,9 +103,6 @@ std::uint64_t drain_hash();
 /// simulation has fully drained (no operations in flight).
 void check_drained(Category c, const char* what);
 
-/// Counts one station switching regime (to analytic when `to_analytic`).
-void regime_switch(bool to_analytic);
-
 Report snapshot();
 /// Clears all counters and the drain hash (test isolation).
 void reset();
@@ -130,7 +120,6 @@ inline void check_nonneg(double, const char*) {}
 inline void fold_drain(std::uint64_t) {}
 inline std::uint64_t drain_hash() { return 0; }
 inline void check_drained(Category, const char*) {}
-inline void regime_switch(bool) {}
 inline Report snapshot() { return {}; }
 inline void reset() {}
 
@@ -146,7 +135,6 @@ inline void reset() {}
 #define GDISIM_AUDIT_CHECK(cond, what) ::gdisim::audit::check((cond), (what))
 #define GDISIM_AUDIT_NONNEG(value, what) ::gdisim::audit::check_nonneg((value), (what))
 #define GDISIM_AUDIT_FOLD_DRAIN(hash) ::gdisim::audit::fold_drain(hash)
-#define GDISIM_AUDIT_REGIME_SWITCH(to_analytic) ::gdisim::audit::regime_switch(to_analytic)
 /// Per-agent clock monotonicity: the tick phase must observe strictly
 /// increasing `now` values (Agent::audit_tick_signal).
 #define GDISIM_AUDIT_AGENT_TICK(agent, now) (agent)->audit_tick_signal(now)
@@ -156,6 +144,5 @@ inline void reset() {}
 #define GDISIM_AUDIT_CHECK(cond, what) ((void)0)
 #define GDISIM_AUDIT_NONNEG(value, what) ((void)0)
 #define GDISIM_AUDIT_FOLD_DRAIN(hash) ((void)0)
-#define GDISIM_AUDIT_REGIME_SWITCH(to_analytic) ((void)0)
 #define GDISIM_AUDIT_AGENT_TICK(agent, now) ((void)0)
 #endif

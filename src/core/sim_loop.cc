@@ -113,19 +113,14 @@ void SimulationLoop::step_dense(Tick now) {
   const std::size_t n = agents_.size();
 
   // 1. Time increment control signals.
-  if (batch_begin_ != nullptr) batch_begin_();
   run_phase(n, [this, now](std::size_t i) {
     GDISIM_AUDIT_AGENT_TICK(agents_[i], now);
     agents_[i]->on_tick(now);
   });
-  // Tick-phase posts become visible at now + 1 and must be absorbed by the
-  // interaction phase below, so their deferred bookkeeping settles here.
-  if (batch_flush_ != nullptr) batch_flush_();
 
   // 2. Agent interaction step: absorb everything that became visible during
   //    this tick (visible_at <= now + 1).
   run_phase(n, [this, now](std::size_t i) { agents_[i]->on_interactions(now + 1); });
-  if (batch_end_ != nullptr) batch_end_();
 
   stats_.agent_phase_runs += n;
   stats_.last_active = n;
@@ -151,15 +146,10 @@ void SimulationLoop::step_active(Tick now) {
 
   // 1. Time increment control signals for the active set.
   const std::size_t n_tick = active_.size();
-  if (batch_begin_ != nullptr) batch_begin_();
   run_phase(n_tick, [this, now](std::size_t i) {
     GDISIM_AUDIT_AGENT_TICK(agents_[active_[i]], now);
     agents_[active_[i]]->on_tick(now);
   });
-  // Settle deferred post bookkeeping *before* draining wakes: the flush
-  // issues the wake requests the window elided, so recipients of tick-phase
-  // posts are admitted exactly as they would be unbatched.
-  if (batch_flush_ != nullptr) batch_flush_();
 
   // Deliveries posted during the tick phase carry visible_at == now + 1 and
   // must be absorbed in *this* iteration's interaction phase (consistency
@@ -175,9 +165,6 @@ void SimulationLoop::step_active(Tick now) {
     a->on_interactions(now + 1);
     rearm_[i] = a->next_wake_tick(now + 1);
   });
-  // Close the window before the rearm re-query and the collector sample:
-  // both must observe fully-posted inboxes, same as the unbatched loop.
-  if (batch_end_ != nullptr) batch_end_();
 
   stats_.agent_phase_runs += n_inter;
   stats_.last_active = n_inter;

@@ -128,21 +128,6 @@ class SimulationLoop : public AgentWakeScheduler {
   ExecutionEngine& engine() { return *engine_; }
   void set_engine(ExecutionEngine& engine) { engine_ = &engine; }
 
-  /// Batched-post window hooks (DESIGN.md §10 "Inbox post batching"),
-  /// installed by the simulator when batching is on. The loop brackets its
-  /// agent phases with them: `begin` opens the window before the tick phase,
-  /// `flush` settles deferred inbox bookkeeping at the tick/interaction
-  /// barrier, `end` flushes and closes the window after the interaction
-  /// phase — before the wake re-queries and the collection callback, so the
-  /// scheduler and the probes observe fully-posted inboxes. Raw function
-  /// pointers: the only per-iteration cost when unset is three null checks.
-  using PhaseHook = void (*)();
-  void set_post_batch_hooks(PhaseHook begin, PhaseHook flush, PhaseHook end) {
-    batch_begin_ = begin;
-    batch_flush_ = flush;
-    batch_end_ = end;
-  }
-
   /// Snapshot round trip of the loop's own state: the clock position and the
   /// scheduler statistics. Active-set bookkeeping (calendar, wake flags,
   /// shards) is deliberately *not* serialized — on read every agent is
@@ -177,9 +162,6 @@ class SimulationLoop : public AgentWakeScheduler {
   std::vector<Agent*> agents_;
   std::function<void(Tick)> collect_cb_;  // ARCHIVE-TRANSIENT: construction-time wiring
   std::vector<std::function<void(Tick)>> pre_tick_hooks_;  // ARCHIVE-TRANSIENT: construction-time wiring
-  PhaseHook batch_begin_ = nullptr;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
-  PhaseHook batch_flush_ = nullptr;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
-  PhaseHook batch_end_ = nullptr;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
   Tick now_ = 0;
   bool active_mode_;
   bool engine_serial_ = false;  // ARCHIVE-TRANSIENT: derived from the engine at construction

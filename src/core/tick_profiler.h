@@ -1,12 +1,10 @@
-// Per-phase tick profiler (DESIGN.md §10 "Per-message fast path").
+// Per-phase tick profiler (DESIGN.md §10).
 //
-// A compile-time-gated wall-clock bucketizer backing the fast-path
-// before/after claims with a tool instead of ad-hoc perf runs: instrumented
-// scopes attribute elapsed time to one of five buckets — route construction
-// (build_route/stamp_route), hardware queueing (the per-tick advance of
-// station disciplines), inbox work (drains plus deferred-post flushes), wake
-// management (population scans and wake re-queries), and background daemons
-// (synch-rep, index-build).
+// A compile-time-gated wall-clock bucketizer backing perf claims with a tool
+// instead of ad-hoc perf runs: instrumented scopes attribute elapsed time to
+// one of five buckets — route construction (build_route), hardware queueing
+// (the per-tick advance of station disciplines), inbox drains, population
+// launch scans, and background daemons (synch-rep, index-build).
 //
 // Enabled by the GDISIM_TICK_PROFILE compile definition (CMake option
 // GDISIM_TICK_PROFILE). In normal builds every GDISIM_TICK_PROF_* macro
@@ -23,10 +21,10 @@
 namespace gdisim::tickprof {
 
 enum class Bucket : unsigned {
-  kRouteBuild = 0,  ///< OperationInstance::build_route / stamp_route
+  kRouteBuild = 0,  ///< OperationInstance::build_route
   kQueueing,        ///< Component::advance_tick (discipline serve loops)
-  kInbox,           ///< Inbox drains and deferred-post flushes
-  kWake,            ///< population scan/wake computation
+  kInbox,           ///< Inbox drains
+  kWake,            ///< population launch scans
   kBackground,      ///< synch-rep and index-build daemons
   kCount
 };

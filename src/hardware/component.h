@@ -20,18 +20,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "core/agent.h"
 #include "core/audit.h"
-#include "core/rng.h"
 #include "core/tick_profiler.h"
 #include "core/types.h"
-#include "queueing/analytic.h"
 #include "queueing/job.h"
-#include "queueing/service_regime.h"
 
 namespace gdisim {
 
@@ -117,29 +113,15 @@ class Component : public Agent {
   Component() { inbox_.bind_owner(this); }
 
   /// Thread-safe submission; the job becomes serviceable at `visible_at`.
-  /// (sender, seq) make the inbox drain order deterministic. Inside a
-  /// batched-post window (DESIGN.md §10) the occupancy/wake bookkeeping is
-  /// deferred to the loop's phase-barrier flush; drain order and results
-  /// are unchanged.
+  /// (sender, seq) make the inbox drain order deterministic.
   void submit(Tick visible_at, AgentId sender, std::uint64_t seq, StageJob job) {
-    if (PostBatchWindow::open()) {
-      inbox_.post_deferred(visible_at, sender, seq, job);
-      return;
-    }
     inbox_.post(visible_at, sender, seq, job);
   }
 
   void on_interactions(Tick now) override {
     if (inbox_.empty()) return;
     inbox_.drain_visible_into(now, drain_scratch_);
-    if (!regime_enabled_) {
-      // Reference path: with the regime layer disabled (forced-discrete
-      // runs) absorbed jobs go straight to the discipline, arithmetic and
-      // control flow identical to the pre-regime engine.
-      for (auto& d : drain_scratch_) accept(d.payload);
-      return;
-    }
-    for (auto& d : drain_scratch_) absorb(now, d.payload);
+    for (auto& d : drain_scratch_) accept(d.payload);
   }
 
   void on_engine_serial(bool serial) override { inbox_.set_serial(serial); }
@@ -159,7 +141,6 @@ class Component : public Agent {
     } else {
       instant_fraction_ = 0.0;  // 0 / cap — skip the virtual capacity call
     }
-    if (!analytic_jobs_.empty()) serve_analytic(now);
     advance_tick(now, tick_seconds_);
     window_accum_ += utilization();
   }
@@ -182,13 +163,7 @@ class Component : public Agent {
   /// reports the same mean as under the dense sweep. Resets the window.
   double take_window_utilization(Tick now) {
     const Tick span = now - window_start_tick_;
-    // Busy-tick equivalents booked by bypassing senders (fixed-point so the
-    // concurrent sum is order-independent) fold into the same window.
-    const double bypassed =
-        static_cast<double>(bypass_window_fp_.exchange(0, std::memory_order_relaxed)) /
-        kBypassWindowScale;
-    const double u = span > 0 ? (window_accum_ + bypassed) / static_cast<double>(span)
-                              : utilization();
+    const double u = span > 0 ? window_accum_ / static_cast<double>(span) : utilization();
     window_accum_ = 0.0;
     window_start_tick_ = now;
     return u;
@@ -222,176 +197,8 @@ class Component : public Agent {
         instant_buckets_[1].load(std::memory_order_relaxed) != 0.0) {
       return next_now;
     }
-    // An analytic station quiesces until its earliest sampled completion:
-    // the wake calendar delivers it straight to that tick with no per-tick
-    // work in between.
-    if (!analytic_jobs_.empty()) return analytic_jobs_.front().due;
     return kNeverTick;
   }
-
-  // --- Service regimes (DESIGN.md "Service regimes") -----------------------
-  //
-  // The regime only decides where NEW arrivals go. Analytic in-flight jobs
-  // always complete at their sampled tick and discrete jobs always drain
-  // through the discipline, whatever the current mode — so a switch never
-  // migrates, mints, or drops a job (the kAnalyticJob audit ledger checks
-  // exactly this).
-
-  /// Wires the regime layer on (RegimeController attach). `rng` seeds the
-  /// per-station sojourn-sampling stream; a later restore overwrites its
-  /// position from the archive.
-  void regime_enable(Rng rng) {
-    regime_enabled_ = true;
-    analytic_rng_ = rng;
-  }
-
-  ServiceRegime regime() const { return regime_; }
-
-  /// Controller-only (single-threaded pre-tick hook). Switching to analytic
-  /// requires an empty discipline unless the station's closed form is exact
-  /// regardless of backlog (infinite-server delays); the controller
-  /// guarantees it, the audit check enforces it.
-  void set_regime(ServiceRegime r) {
-    if (r == regime_) return;
-    GDISIM_AUDIT_CHECK(r != ServiceRegime::kAnalytic || queue_length() == 0 ||
-                           !analytic_entry_requires_empty_queue(),
-                       "regime: switch to analytic with a non-empty discipline");
-    GDISIM_AUDIT_REGIME_SWITCH(r == ServiceRegime::kAnalytic);
-    regime_ = r;
-  }
-
-  // --- Sender-side analytic bypass (DESIGN.md "Service regimes") -----------
-  //
-  // When the controller latches a station analytic for a whole epoch, the
-  // software layer may skip the station entirely: the *sender* samples the
-  // sojourn from its own branch RNG, books the station's utilization and
-  // arrival statistics through order-independent atomic counters, and parks
-  // the message on the controller's timer station for the summed span. The
-  // station never sees the job — no inbox post, no wake, no per-tick work.
-
-  /// Epoch-latched "senders may bypass this station" flag. Written only by
-  /// the controller's single-threaded pre-tick hook at epoch boundaries
-  /// (never by mid-epoch guard trips, so concurrent readers see one stable
-  /// value per epoch); read by operation branches on any worker.
-  bool bypass_active() const { return bypass_active_; }
-  void set_bypass_active(bool b) { bypass_active_ = b; }
-
-  /// True when `job` may be collapsed by the sender: the station is latched
-  /// analytic this epoch and the job is admissible to the closed form.
-  bool bypass_eligible(const StageJob& job) const {
-    return bypass_active_ && analytic_admissible(job);
-  }
-
-  /// Books one bypassed stage: samples the sojourn from `rng` (the sender's
-  /// deterministic branch stream), folds the work into the utilization
-  /// window and epoch-arrival statistics via atomic fixed-point counters
-  /// (integer sums are order-independent, so the result is identical under
-  /// any thread schedule), and returns the stage's span in ticks — the same
-  /// max(1, ceil(sojourn / tick)) the station-side analytic path would use.
-  /// The job itself never reaches this station; the caller accumulates the
-  /// spans onto the regime timer. Admitted == served by construction, so
-  /// both sides of the kAnalyticJob conservation ledger move together.
-  Tick bypass_admit(const StageJob& job, Rng& rng) {
-    GDISIM_AUDIT_JOB_SPAWNED(audit::Category::kAnalyticJob);
-    GDISIM_AUDIT_JOB_COMPLETED(audit::Category::kAnalyticJob);
-    const double sojourn = analytic_sojourn_seconds(job, rng);
-    Tick span = tick_seconds_ > 0.0
-                    ? static_cast<Tick>(std::ceil((sojourn - 1e-12) / tick_seconds_))
-                    : 1;
-    if (span < 1) span = 1;
-    const double cap = capacity_per_second();
-    if (cap > 0.0 && tick_seconds_ > 0.0) {
-      bypass_window_fp_.fetch_add(
-          std::llround(job.work / (cap * tick_seconds_) * kBypassWindowScale),
-          std::memory_order_relaxed);
-    }
-    const double rate = single_job_rate();
-    if (rate > 0.0) {
-      bypass_epoch_service_fp_.fetch_add(std::llround(job.work / rate * kBypassServiceScale),
-                                         std::memory_order_relaxed);
-    }
-    bypass_epoch_arrivals_.fetch_add(1, std::memory_order_relaxed);
-    bypass_stages_.fetch_add(1, std::memory_order_relaxed);
-    return span;
-  }
-
-  /// Cumulative stages collapsed by the sender-side bypass.
-  std::uint64_t bypass_stages() const {
-    return bypass_stages_.load(std::memory_order_relaxed);
-  }
-
-  /// One epoch's arrival observation, already folded into the EWMA
-  /// estimates the sampled sojourns use.
-  struct RegimeEpoch {
-    double rho = 0.0;              ///< offered work / capacity over the epoch
-    std::size_t queue_depth = 0;   ///< discipline jobs right now
-    std::size_t peak_inflight = 0; ///< max concurrent analytic jobs this epoch
-    std::uint32_t guard_trips = 0; ///< inadmissible arrivals that forced discrete
-    /// Little's-law in-flight estimate from the smoothed rates: the burst
-    /// proxy for bypassed stations, whose jobs never touch peak_inflight.
-    double est_inflight = 0.0;
-    /// Station trait forwarded so the controller's pure decision core need
-    /// not reach back into the component.
-    bool entry_requires_empty = true;
-  };
-
-  /// Folds the epoch's counters — station-side arrivals plus bypassed
-  /// arrivals drained from the atomic side-counters — into the arrival-rate
-  /// / mean-work EWMAs and returns the observation; resets the counters.
-  /// Called once per epoch by the RegimeController from the single-threaded
-  /// pre-tick hook.
-  RegimeEpoch regime_fold_epoch(double epoch_seconds, double alpha) {
-    RegimeEpoch e;
-    const double rate = single_job_rate();
-    const std::uint64_t bypass_arrivals =
-        bypass_epoch_arrivals_.exchange(0, std::memory_order_relaxed);
-    const double bypass_work =
-        static_cast<double>(bypass_epoch_service_fp_.exchange(0, std::memory_order_relaxed)) /
-        kBypassServiceScale * rate;
-    const std::uint64_t arrivals = epoch_arrivals_ + bypass_arrivals;
-    const double work = epoch_work_ + bypass_work;
-    const double cap = capacity_per_second();
-    e.rho = cap > 0.0 && epoch_seconds > 0.0 ? work / (cap * epoch_seconds) : 0.0;
-    e.queue_depth = queue_length();
-    e.peak_inflight = epoch_peak_inflight_;
-    e.guard_trips = guard_trips_;
-    if (epoch_seconds > 0.0) {
-      const double lambda = static_cast<double>(arrivals) / epoch_seconds;
-      est_arrival_rate_ += alpha * (lambda - est_arrival_rate_);
-      if (arrivals > 0) {
-        const double mean_work = work / static_cast<double>(arrivals);
-        est_mean_work_ += alpha * (mean_work - est_mean_work_);
-      }
-    }
-    e.est_inflight = rate > 0.0 ? est_arrival_rate_ * (est_mean_work_ / rate) : 0.0;
-    e.entry_requires_empty = analytic_entry_requires_empty_queue();
-    epoch_arrivals_ = 0;
-    epoch_work_ = 0.0;
-    epoch_peak_inflight_ = analytic_jobs_.size();
-    guard_trips_ = 0;
-    refresh_analytic_sampler();
-    return e;
-  }
-
-  /// True when this station's discipline has a closed form the regime layer
-  /// may sample from. Conservative default: ineligible (fork-join pipelines
-  /// like RAID/SAN stay discrete — branch correlation breaks the
-  /// independence assumption the sampled sojourns rest on).
-  virtual bool analytic_eligible() const { return false; }
-
-  /// Max concurrent analytic jobs before the controller treats the epoch as
-  /// bursty and falls back to discrete.
-  virtual std::size_t analytic_burst_cap() const { return 8; }
-
-  /// Whether entering the analytic regime requires an empty discipline.
-  /// Default yes (contention models need a clean boundary); infinite-server
-  /// stations override to no — backlog cannot affect a newcomer's sojourn,
-  /// so the remaining discrete jobs simply drain in place.
-  virtual bool analytic_entry_requires_empty_queue() const { return true; }
-
-  std::size_t analytic_inflight() const { return analytic_jobs_.size(); }
-  std::uint64_t analytic_admitted() const { return analytic_admitted_; }
-  std::uint64_t analytic_served() const { return analytic_served_; }
 
   /// Aggregate service capacity in work units per second (all servers).
   virtual double capacity_per_second() const = 0;
@@ -423,112 +230,10 @@ class Component : public Agent {
     ar.f64(instant_fraction_);
     ar.f64(window_accum_);
     ar.i64(window_start_tick_);
-    ar.section("regime");
-    std::uint8_t mode = static_cast<std::uint8_t>(regime_);
-    ar.u8(mode);
-    regime_ = static_cast<ServiceRegime>(mode);
-    // The in-flight list is stored in its heap layout; the layout is
-    // deterministic (push/pop order is), so the round trip is byte-stable.
-    std::size_t n_analytic = analytic_jobs_.size();
-    ar.size_value(n_analytic);
-    if (ar.reading()) analytic_jobs_.assign(n_analytic, AnalyticJob{});
-    for (auto& a : analytic_jobs_) {
-      ar.i64(a.due);
-      ar.u64(a.seq);
-      archive_stage_job(ar, reg, a.job);
-    }
-    ar.u64(analytic_seq_);
-    ar.u64(analytic_admitted_);
-    ar.u64(analytic_served_);
-    analytic_rng_.archive_state(ar);
-    ar.u64(epoch_arrivals_);
-    ar.f64(epoch_work_);
-    ar.size_value(epoch_peak_inflight_);
-    ar.u32(guard_trips_);
-    ar.f64(est_arrival_rate_);
-    ar.f64(est_mean_work_);
-    ar.boolean(bypass_active_);
-    std::uint64_t b_stages = bypass_stages_.load(std::memory_order_relaxed);
-    std::uint64_t b_arrivals = bypass_epoch_arrivals_.load(std::memory_order_relaxed);
-    std::int64_t b_service = bypass_epoch_service_fp_.load(std::memory_order_relaxed);
-    std::int64_t b_window = bypass_window_fp_.load(std::memory_order_relaxed);
-    ar.u64(b_stages);
-    ar.u64(b_arrivals);
-    ar.i64(b_service);
-    ar.i64(b_window);
-    if (ar.reading()) {
-      bypass_stages_.store(b_stages, std::memory_order_relaxed);
-      bypass_epoch_arrivals_.store(b_arrivals, std::memory_order_relaxed);
-      bypass_epoch_service_fp_.store(b_service, std::memory_order_relaxed);
-      bypass_window_fp_.store(b_window, std::memory_order_relaxed);
-      refresh_analytic_sampler();
-    }
     archive_discipline(ar, reg);
   }
 
  protected:
-  /// Job-level admissibility to the analytic regime. Default: single-share
-  /// jobs only — a parallelism > 1 stage forks across cores and joins, and
-  /// that correlation is exactly what the accuracy guard protects against.
-  virtual bool analytic_admissible(const StageJob& job) const { return job.parallelism <= 1; }
-
-  /// Samples this job's total sojourn (wait + service, seconds) from the
-  /// station's closed form, drawing randomness (if any) from `rng` — the
-  /// station's own archived stream on the absorb path, the sender's branch
-  /// stream on the bypass path. Default: M/M/c FCFS over analytic_servers()
-  /// servers at single_job_rate() each — correct for the NIC/switch (c = 1)
-  /// and CPU (c = cores) disciplines; PS and delay stations override.
-  virtual double analytic_sojourn_seconds(const StageJob& job, Rng& rng) {
-    return sampled_fcfs_sojourn(job, rng);
-  }
-
-  /// Server count the default M/M/c sojourn model uses.
-  virtual unsigned analytic_servers() const { return 1; }
-
-  /// M/M/c sojourn sample: service time plus a wait drawn from the cached
-  /// Erlang-C law (refresh_analytic_sampler()). One uniform per admission
-  /// regardless of outcome keeps the stream position a pure function of the
-  /// admission count.
-  double sampled_fcfs_sojourn(const StageJob& job, Rng& rng) {
-    const double rate = single_job_rate();
-    const double service_s = rate > 0.0 ? job.work / rate : 0.0;
-    const double u = rng.next_double();
-    if (u >= analytic_p_wait_) return service_s;
-    return service_s + rng.next_exponential(analytic_cond_wait_mean_);
-  }
-
-  /// Recomputes the cached M/M/c wait law from the EWMA estimates. The
-  /// estimates change only in regime_fold_epoch (single-threaded controller
-  /// hook) and on restore, so the sampled sojourns never pay the O(c)
-  /// Erlang-C recursion per draw — the cached law is bit-identical to
-  /// recomputing it at every admission. The 0.95c offered-load clamp defends
-  /// against a transient estimate overshooting between epochs; the guard
-  /// thresholds keep analytic stations far from saturation.
-  void refresh_analytic_sampler() {
-    analytic_p_wait_ = 0.0;
-    analytic_cond_wait_mean_ = 0.0;
-    const unsigned servers = analytic_servers();
-    const double rate = single_job_rate();
-    const double mean_service_s = rate > 0.0 ? est_mean_work_ / rate : 0.0;
-    const double mu = mean_service_s > 0.0 ? 1.0 / mean_service_s : 0.0;
-    if (servers == 0 || !(est_arrival_rate_ > 0.0) || !(mu > 0.0)) return;
-    const double c = static_cast<double>(servers);
-    const double lam = std::min(est_arrival_rate_, 0.95 * c * mu);
-    analytic_p_wait_ = analytic::erlang_c(servers, lam, mu);
-    analytic_cond_wait_mean_ = 1.0 / (c * mu - lam);
-  }
-
-  /// Smoothed offered load (EWMA arrivals x mean work / capacity); what the
-  /// PS fluid share divides by.
-  double estimated_rho() const {
-    const double cap = capacity_per_second();
-    return cap > 0.0 ? est_arrival_rate_ * est_mean_work_ / cap : 0.0;
-  }
-
-  /// Per-station sojourn-sampling stream (archived; draws happen in this
-  /// agent's own interaction phase, so the stream position is deterministic).
-  Rng& analytic_rng() { return analytic_rng_; }
-
   /// Subclass hook: serialize the discipline queues and in-flight job
   /// contexts. Default: stateless discipline.
   virtual void archive_discipline(StateArchive& /*ar*/, HandlerRegistry& /*reg*/) {}
@@ -542,75 +247,6 @@ class Component : public Agent {
   virtual double raw_utilization() const = 0;
 
  private:
-  /// One analytically-served job waiting for its sampled completion tick.
-  struct AnalyticJob {
-    Tick due = 0;
-    std::uint64_t seq = 0;
-    StageJob job;
-  };
-  /// Min-heap order on (due, seq): completions fire in admission order
-  /// within a tick, deterministically.
-  struct AnalyticAfter {
-    bool operator()(const AnalyticJob& a, const AnalyticJob& b) const {
-      return a.due != b.due ? a.due > b.due : a.seq > b.seq;
-    }
-  };
-
-  /// Regime-aware arrival path (only reached when the regime layer is
-  /// wired on). `now` is the interaction tick: an absorbed job starts
-  /// service during the tick phase that carries the same `now`.
-  void absorb(Tick now, StageJob job) {
-    ++epoch_arrivals_;
-    epoch_work_ += job.work;
-    if (regime_ == ServiceRegime::kAnalytic) {
-      if (analytic_admissible(job)) {
-        admit_analytic(now, job);
-        return;
-      }
-      // Accuracy guard: an arrival the closed form cannot represent
-      // (fork-join share) reverts the station immediately; the controller
-      // sees the trip at the next epoch and applies the cooldown.
-      ++guard_trips_;
-      set_regime(ServiceRegime::kDiscrete);
-    }
-    accept(job);
-  }
-
-  void admit_analytic(Tick now, StageJob job) {
-    GDISIM_AUDIT_JOB_SPAWNED(audit::Category::kAnalyticJob);
-    const double sojourn = analytic_sojourn_seconds(job, analytic_rng_);
-    // Completion lands on the same tick the discrete discipline would use
-    // for an uncontended job: service starts during tick `now`, so a
-    // sojourn of <= one tick completes at `now` itself.
-    Tick span = tick_seconds_ > 0.0
-                    ? static_cast<Tick>(std::ceil((sojourn - 1e-12) / tick_seconds_))
-                    : 1;
-    if (span < 1) span = 1;
-    // Utilization window accounting: the whole job's busy-tick equivalent is
-    // booked at admission (the station will not run on the in-between
-    // ticks), so take_window_utilization keeps reporting the same means the
-    // discrete regime would.
-    const double cap = capacity_per_second();
-    if (cap > 0.0 && tick_seconds_ > 0.0) window_accum_ += job.work / (cap * tick_seconds_);
-    ++analytic_admitted_;
-    if (analytic_jobs_.size() + 1 > epoch_peak_inflight_) {
-      epoch_peak_inflight_ = analytic_jobs_.size() + 1;
-    }
-    analytic_jobs_.push_back(AnalyticJob{now + span - 1, analytic_seq_++, job});
-    std::push_heap(analytic_jobs_.begin(), analytic_jobs_.end(), AnalyticAfter{});
-  }
-
-  void serve_analytic(Tick now) {
-    while (!analytic_jobs_.empty() && analytic_jobs_.front().due <= now) {
-      std::pop_heap(analytic_jobs_.begin(), analytic_jobs_.end(), AnalyticAfter{});
-      AnalyticJob done = analytic_jobs_.back();
-      analytic_jobs_.pop_back();
-      ++analytic_served_;
-      GDISIM_AUDIT_JOB_COMPLETED(audit::Category::kAnalyticJob);
-      done.job.handler->on_stage_complete(*this, now, done.job.tag);
-    }
-  }
-
   Inbox<StageJob> inbox_;
   /// Reused drain buffer; its capacity amortizes across interaction phases.
   std::vector<Delivery<StageJob>> drain_scratch_;  // ARCHIVE-TRANSIENT: per-tick scratch; empty between ticks
@@ -623,48 +259,6 @@ class Component : public Agent {
   double instant_fraction_ = 0.0;
   double window_accum_ = 0.0;
   Tick window_start_tick_ = 0;
-
-  // --- Service-regime state ---
-  bool regime_enabled_ = false;  // ARCHIVE-TRANSIENT: construction-time wiring; RegimeController re-enables on attach
-  ServiceRegime regime_ = ServiceRegime::kDiscrete;
-  std::vector<AnalyticJob> analytic_jobs_;
-  std::uint64_t analytic_seq_ = 0;
-  std::uint64_t analytic_admitted_ = 0;
-  std::uint64_t analytic_served_ = 0;
-  Rng analytic_rng_{0};
-  // Per-epoch arrival counters; single-writer (this agent's interaction
-  // phase), read + reset by the controller's single-threaded pre-tick hook.
-  std::uint64_t epoch_arrivals_ = 0;
-  double epoch_work_ = 0.0;
-  std::size_t epoch_peak_inflight_ = 0;
-  std::uint32_t guard_trips_ = 0;
-  // EWMA estimates the sampled sojourns are computed from.
-  // GDISIM-SHARED: written only by the controller's single-threaded pre-tick
-  // fold; read concurrently by bypassing senders sampling sojourns.
-  double est_arrival_rate_ = 0.0;
-  double est_mean_work_ = 0.0;
-  // Cached Erlang-C wait law derived from the EWMAs above; refreshed at
-  // every epoch fold and on restore (refresh_analytic_sampler()).
-  // GDISIM-SHARED: written only by the single-threaded fold/restore paths;
-  // read concurrently by bypassing senders sampling sojourns.
-  double analytic_p_wait_ = 0.0;       // ARCHIVE-TRANSIENT: derived from the archived EWMAs on restore
-  double analytic_cond_wait_mean_ = 0.0;  // ARCHIVE-TRANSIENT: derived from the archived EWMAs on restore
-
-  // --- Sender-side bypass state ---
-  /// Fixed-point scales for the atomic side-counters: integer fetch_adds
-  /// commute, so concurrent bypass bookings sum identically under any
-  /// thread schedule (a double accumulator would not).
-  static constexpr double kBypassWindowScale = 1048576.0;   // 2^20 busy-ticks
-  static constexpr double kBypassServiceScale = 1073741824.0;  // 2^30 service-seconds
-  // GDISIM-SHARED: epoch-latched by the controller's pre-tick hook only;
-  // read concurrently by operation branches on any worker.
-  bool bypass_active_ = false;
-  // GDISIM-SHARED: bumped by bypassing senders on any worker; drained by the
-  // single-threaded epoch fold / window collection.
-  std::atomic<std::uint64_t> bypass_stages_{0};  // GDISIM-SHARED: commutative cross-worker bypass tally
-  std::atomic<std::uint64_t> bypass_epoch_arrivals_{0};  // GDISIM-SHARED: commutative cross-worker arrival tally
-  std::atomic<std::int64_t> bypass_epoch_service_fp_{0};  // GDISIM-SHARED: fixed-point cross-worker work sum
-  std::atomic<std::int64_t> bypass_window_fp_{0};  // GDISIM-SHARED: fixed-point cross-worker busy-tick sum
 };
 
 }  // namespace gdisim

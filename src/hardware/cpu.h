@@ -46,19 +46,7 @@ class CpuComponent final : public Component {
   }
   double single_job_rate() const override { return spec_.frequency_hz; }
 
-  /// M/M/c over all effective cores approximates the per-socket
-  /// least-loaded dispatch; admissibility (base class) excludes
-  /// parallelism > 1 fork-join stages.
-  bool analytic_eligible() const override { return true; }
-  std::size_t analytic_burst_cap() const override {
-    return 4u * spec_.sockets * spec_.effective_cores_per_socket();
-  }
-
  protected:
-  unsigned analytic_servers() const override {
-    return spec_.sockets * spec_.effective_cores_per_socket();
-  }
-
   void accept(StageJob job) override;
   void advance_tick(Tick now, double dt) override;
   double raw_utilization() const override { return last_utilization_; }

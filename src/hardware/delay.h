@@ -30,24 +30,7 @@ class DelayComponent final : public Component {
   /// Delay stations serve work measured in seconds at unit rate.
   double single_job_rate() const override { return 1.0; }
 
-  /// M/G/inf has no contention at all: the analytic sojourn is exact, so
-  /// the infinite-server station is always a pure win for the fast path.
-  bool analytic_eligible() const override { return true; }
-  std::size_t analytic_burst_cap() const override {
-    return std::numeric_limits<std::size_t>::max();
-  }
-  /// Backlog cannot affect a newcomer's sojourn in an infinite-server
-  /// station, so the analytic handoff needs no empty-queue boundary: the
-  /// discrete in-flight set keeps draining in place while new arrivals take
-  /// the exact closed form.
-  bool analytic_entry_requires_empty_queue() const override { return false; }
-
  protected:
-  /// Exact: work IS the delay in seconds. Deterministic — no RNG draw.
-  double analytic_sojourn_seconds(const StageJob& job, Rng& /*rng*/) override {
-    return job.work;
-  }
-
   double raw_utilization() const override { return work_.empty() ? 0.0 : 1.0; }
   void accept(StageJob job) override {
     min_work_ = std::min(min_work_, job.work);

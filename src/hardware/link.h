@@ -35,24 +35,7 @@ class LinkComponent final : public Component {
     return spec_.bandwidth_bps * spec_.allocated_fraction;
   }
 
-  bool analytic_eligible() const override { return true; }
-  std::size_t analytic_burst_cap() const override {
-    return spec_.max_concurrent > 0 ? spec_.max_concurrent : 256;
-  }
-
  protected:
-  /// Fluid PS share: the transfer proceeds at (1 - rho) of the allocated
-  /// bandwidth (processor sharing dilates every transfer by the smoothed
-  /// concurrent load), plus the constant propagation latency the discrete
-  /// pipe adds. Deterministic — no sampling, so the link's RNG stream is
-  /// untouched.
-  double analytic_sojourn_seconds(const StageJob& job, Rng& /*rng*/) override {
-    const double rate = capacity_per_second();
-    const double rho = std::min(estimated_rho(), 0.90);
-    const double transfer = rate > 0.0 ? (job.work / rate) / (1.0 - rho) : 0.0;
-    return transfer + spec_.latency_seconds;
-  }
-
   double raw_utilization() const override { return queue_.last_utilization(); }
   void accept(StageJob job) override { queue_.enqueue(job.work, pool_.create(job)); }
 

@@ -21,9 +21,6 @@ class SwitchComponent final : public Component {
   const SwitchSpec& spec() const { return spec_; }
   double capacity_per_second() const override { return spec_.rate_bps; }
 
-  /// M/M/1 FCFS — exactly the base class's default sojourn model.
-  bool analytic_eligible() const override { return true; }
-
  protected:
   double raw_utilization() const override { return queue_.last_utilization(); }
   void accept(StageJob job) override { queue_.enqueue(job.work, pool_.create(job)); }

@@ -39,11 +39,6 @@ class RaidComponent final : public Component {
     return static_cast<double>(spec_.disks) * spec_.hdd_rate_Bps;
   }
 
-  /// Stays discrete in every regime: the controller->fork-join disk
-  /// pipeline correlates branch completions, which the independent sampled
-  /// sojourns of the analytic regime cannot represent.
-  bool analytic_eligible() const override { return false; }
-
  protected:
   /// Mean utilization of the disk drives (the usual "disk busy" metric).
   double raw_utilization() const override { return last_disk_utilization_; }

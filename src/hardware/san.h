@@ -40,11 +40,6 @@ class SanComponent final : public Component {
     return static_cast<double>(spec_.disks) * spec_.hdd_rate_Bps;
   }
 
-  /// Stays discrete in every regime: the SAN's multi-stage fork-join
-  /// pipeline correlates branch completions — outside the independence
-  /// assumptions the analytic regime samples under.
-  bool analytic_eligible() const override { return false; }
-
  protected:
   double raw_utilization() const override { return last_disk_utilization_; }
   void accept(StageJob job) override;

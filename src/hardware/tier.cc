@@ -38,7 +38,6 @@ void Tier::set_server_alive(std::size_t index, bool alive) {
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     if (alive_[i]) alive_index_.push_back(i);
   }
-  if (route_state_notifier_) route_state_notifier_();
 }
 
 std::size_t Tier::alive_count() const { return alive_index_.size(); }

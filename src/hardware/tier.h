@@ -2,7 +2,6 @@
 // link that connects them to the data center switch (thesis §3.4.3).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,13 +37,6 @@ class Tier {
   /// already in their queues drain normally. Must only be called between
   /// agent phases (e.g. from a pre-tick hook).
   void set_server_alive(std::size_t index, bool alive);
-
-  /// Bound by Topology::add_route_state_listener so liveness changes
-  /// invalidate route caches; single-threaded by the set_server_alive
-  /// contract.
-  void set_route_state_notifier(std::function<void()> notifier) {
-    route_state_notifier_ = std::move(notifier);
-  }
   bool server_alive(std::size_t index) const { return alive_.at(index); }
   std::size_t alive_count() const;
 
@@ -74,7 +66,6 @@ class Tier {
   std::vector<bool> alive_;
   std::vector<std::size_t> alive_index_;  ///< indices of alive servers
   std::unique_ptr<LinkComponent> local_link_;  // ARCHIVE-TRANSIENT: structural owner; the link archives via the component walk
-  std::function<void()> route_state_notifier_;  // ARCHIVE-TRANSIENT: construction-time wiring
 };
 
 }  // namespace gdisim

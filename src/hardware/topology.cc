@@ -76,25 +76,6 @@ void Topology::compute_routes() {
     }
   }
   routes_ready_ = true;
-  note_route_state_change();
-}
-
-void Topology::add_route_state_listener(std::function<void()> listener) {
-  route_state_listeners_.push_back(std::move(listener));
-  // Walk every tier once so server-liveness changes reach the listeners too;
-  // rebinding on each registration is idempotent.
-  for (auto& dc : dcs_) {
-    for (unsigned k = 0; k < static_cast<unsigned>(TierKind::kCount); ++k) {
-      if (Tier* tier = dc->tier(static_cast<TierKind>(k))) {
-        tier->set_route_state_notifier([this] { note_route_state_change(); });
-      }
-    }
-  }
-}
-
-void Topology::note_route_state_change() {
-  ++route_state_epoch_;
-  for (auto& listener : route_state_listeners_) listener();
 }
 
 void Topology::set_link_usable(DcId from, DcId to, bool usable) {

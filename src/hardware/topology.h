@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -59,23 +58,6 @@ class Topology {
   /// liveness and per-link usability. Routes are recomputed on read.
   void archive_failure_state(StateArchive& ar);
 
-  /// Route-state invalidation (RouteCache epochs, DESIGN.md §10). Listeners
-  /// fire whenever routing-relevant hardware state changes: compute_routes()
-  /// (which set_link_usable and snapshot restore funnel through) and every
-  /// Tier::set_server_alive. All of those sites are contractually
-  /// single-threaded (construction or pre-tick hooks), so listeners may
-  /// rebuild derived tables in place without synchronization.
-  void add_route_state_listener(std::function<void()> listener);
-
-  /// Explicit invalidation for state changes the topology cannot see itself
-  /// (e.g. a future data-growth rebalancing that re-seats file ownership).
-  /// Must only be called while no agent phase is executing.
-  void note_route_state_change();
-
-  /// Monotone counter of route-state changes; lets tests and caches assert
-  /// an invalidation actually happened.
-  std::uint64_t route_state_epoch() const { return route_state_epoch_; }
-
  private:
   std::vector<std::unique_ptr<DataCenter>> dcs_;
   std::map<std::pair<DcId, DcId>, std::unique_ptr<LinkComponent>> links_;  // ARCHIVE-TRANSIENT: structural owners; links archive via the component walk
@@ -83,8 +65,6 @@ class Topology {
   // routes_[from][to] = ordered links.
   std::vector<std::vector<std::vector<LinkComponent*>>> routes_;  // ARCHIVE-TRANSIENT: derived cache; compute_routes() rebuilds on load
   bool routes_ready_ = false;  // ARCHIVE-TRANSIENT: derived cache; compute_routes() rebuilds on load
-  std::vector<std::function<void()>> route_state_listeners_;  // ARCHIVE-TRANSIENT: construction-time wiring
-  std::uint64_t route_state_epoch_ = 0;  // ARCHIVE-TRANSIENT: derived-cache validity counter
 };
 
 }  // namespace gdisim

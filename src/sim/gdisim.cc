@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/archive.h"
-#include "hardware/component.h"
 #include "sim/snapshot.h"
 
 namespace gdisim {
@@ -23,59 +22,6 @@ GdiSimulator::GdiSimulator(Scenario scenario, SimulatorConfig config)
   loop_ = std::make_unique<SimulationLoop>(loop_cfg, *engine_);
 
   scenario_.register_with(*loop_);
-
-  // Regime layer: the scenario's policy with an optional CLI mode override.
-  // Forced-discrete construction leaves every component's arrival path on
-  // the reference branch (bit-identical results).
-  RegimePolicy regime_policy = scenario_.regime;
-  if (config_.regime_mode.has_value()) regime_policy.mode = *config_.regime_mode;
-  if (const std::string why = regime_policy_error(regime_policy); !why.empty()) {
-    throw std::invalid_argument("GdiSimulator: " + why);
-  }
-  regime_ = std::make_unique<RegimeController>(regime_policy, *loop_, scenario_.tick_seconds);
-  // Sender-side bypass wiring: only an active regime layer hands the timer
-  // to the software layer. Forced-discrete runs keep ctx->regime_timer() ==
-  // nullptr, so every submit_stage takes the reference path (bit-for-bit
-  // the pre-regime engine); the timer agent itself is still registered so
-  // the snapshot shape is identical across modes.
-  if (regime_->active() && scenario_.ctx != nullptr) {
-    scenario_.ctx->set_regime_timer(regime_->timer());
-  }
-
-  // Route memoization (DESIGN.md §10). Built after register_with so the
-  // cached instant thresholds see the components' final tick lengths; the
-  // route-state listener keeps the table fresh across failure injection and
-  // snapshot restores (both funnel through Topology::compute_routes or
-  // Tier::set_server_alive).
-  if (config_.route_cache && scenario_.ctx != nullptr && scenario_.catalog != nullptr &&
-      scenario_.topology != nullptr) {
-    scenario_.route_cache = std::make_unique<RouteCache>(
-        *scenario_.topology, *scenario_.catalog, scenario_.master_dc,
-        scenario_.ctx->instant_fraction());
-    scenario_.ctx->set_route_cache(scenario_.route_cache.get());
-  }
-
-  // Inbox post batching (DESIGN.md §10): the loop opens a post window around
-  // its agent phases; Component::submit defers the per-post occupancy/wake
-  // bookkeeping, and the barrier flush settles it once per touched inbox
-  // shard. The window flag only toggles inside this loop's step(), so A/B
-  // runs in one process (--no-inbox-batch) never leak into each other.
-  if (config_.inbox_batch) {
-    loop_->set_post_batch_hooks([] { PostBatchWindow::set_open(true); },
-                                [] { Inbox<StageJob>::flush_deferred_all(); },
-                                [] {
-                                  Inbox<StageJob>::flush_deferred_all();
-                                  PostBatchWindow::set_open(false);
-                                });
-  }
-
-  // Population wake coalescing (DESIGN.md §10): quiet scan boundaries are
-  // skipped; every launch still happens at the boundary the per-boundary
-  // reference scan would have used. SeriesLauncher is already event-driven
-  // (it sleeps to its own next_launch_), so only populations opt in.
-  if (config_.wake_coalesce) {
-    for (auto& p : scenario_.populations) p->set_wake_coalescing(true);
-  }
 
   collector_ = std::make_unique<Collector>(scenario_.tick_seconds);
   install_standard_probes(*collector_, scenario_);
@@ -100,7 +46,7 @@ void GdiSimulator::run_until_seconds(double seconds) {
 
 void GdiSimulator::checkpoint(const std::string& path) {
   StateArchive ar(StateArchive::Mode::kWrite);
-  archive_simulation(ar, scenario_, *loop_, *collector_, regime_.get());
+  archive_simulation(ar, scenario_, *loop_, *collector_);
   ar.write_to_file(path);
 }
 
@@ -119,7 +65,7 @@ void GdiSimulator::restore(const std::string& path) {
 
 std::vector<std::uint8_t> GdiSimulator::save_state() {
   StateArchive ar(StateArchive::Mode::kWrite);
-  archive_simulation(ar, scenario_, *loop_, *collector_, regime_.get());
+  archive_simulation(ar, scenario_, *loop_, *collector_);
   return ar.payload();
 }
 
@@ -130,7 +76,7 @@ void GdiSimulator::load_state(const std::vector<std::uint8_t>& payload, bool rol
 
 void GdiSimulator::load_archive(StateArchive& ar, bool rollback_on_error) {
   if (!rollback_on_error) {
-    archive_simulation(ar, scenario_, *loop_, *collector_, regime_.get());
+    archive_simulation(ar, scenario_, *loop_, *collector_);
     return;
   }
   // Transactional load: a payload that fails mid-decode (truncated stream,
@@ -139,10 +85,10 @@ void GdiSimulator::load_archive(StateArchive& ar, bool rollback_on_error) {
   // rollback decode cannot fail because this simulator just produced it.
   std::vector<std::uint8_t> backup = save_state();
   try {
-    archive_simulation(ar, scenario_, *loop_, *collector_, regime_.get());
+    archive_simulation(ar, scenario_, *loop_, *collector_);
   } catch (...) {
     StateArchive undo = StateArchive::reader(std::move(backup));
-    archive_simulation(undo, scenario_, *loop_, *collector_, regime_.get());
+    archive_simulation(undo, scenario_, *loop_, *collector_);
     throw;
   }
 }

@@ -11,14 +11,11 @@
 #include <string>
 #include <vector>
 
-#include <optional>
-
 #include "config/scenarios.h"
 #include "core/h_dispatch.h"
 #include "core/sim_loop.h"
 #include "metrics/collector.h"
 #include "metrics/report.h"
-#include "sim/regime.h"
 
 namespace gdisim {
 
@@ -34,15 +31,6 @@ struct SimulatorConfig {
   /// Active-set scheduling by default; kDenseSweep is the A/B oracle
   /// (DESIGN.md "Scheduler").
   SchedulerMode scheduler = SchedulerMode::kActiveSet;
-  /// Overrides the scenario regime policy's *mode* (thresholds stay as the
-  /// scenario set them); nullopt = use the scenario policy as-is.
-  std::optional<RegimeMode> regime_mode = std::nullopt;
-  /// Per-message fast path (DESIGN.md §10). All three legs are bit-identical
-  /// to their reference paths; the flags exist for the equivalence suite and
-  /// for bisecting regressions, not as accuracy knobs.
-  bool route_cache = true;    ///< memoized route templates for catalog messages
-  bool inbox_batch = true;    ///< batch same-destination posts per agent phase
-  bool wake_coalesce = true;  ///< client populations skip empty scan wakes
 };
 
 class GdiSimulator {
@@ -83,7 +71,6 @@ class GdiSimulator {
   Scenario& scenario() { return scenario_; }
   Collector& collector() { return *collector_; }
   SimulationLoop& loop() { return *loop_; }
-  RegimeController& regime() { return *regime_; }
 
  private:
   void load_archive(StateArchive& ar, bool rollback_on_error);
@@ -92,7 +79,6 @@ class GdiSimulator {
   SimulatorConfig config_;
   std::unique_ptr<HDispatchEngine> engine_;
   std::unique_ptr<SimulationLoop> loop_;
-  std::unique_ptr<RegimeController> regime_;
   std::unique_ptr<Collector> collector_;
 };
 

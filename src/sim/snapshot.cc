@@ -9,7 +9,6 @@
 #include "hardware/component.h"
 #include "hardware/topology.h"
 #include "metrics/collector.h"
-#include "sim/regime.h"
 
 namespace gdisim {
 
@@ -33,7 +32,7 @@ void for_each_server(Topology& topo, Fn&& fn) {
 }  // namespace
 
 void archive_simulation(StateArchive& ar, Scenario& scenario, SimulationLoop& loop,
-                        Collector& collector, RegimeController* regime) {
+                        Collector& collector) {
   // Header: the structural descriptor. On read, reject scenarios whose shape
   // differs from the snapshot's (perturbed rates are fine; perturbed
   // structure is not — stale AgentIds would alias unrelated agents).
@@ -78,11 +77,6 @@ void archive_simulation(StateArchive& ar, Scenario& scenario, SimulationLoop& lo
 
   topo.archive_failure_state(ar);
   collector.archive_state(ar);
-
-  // Controller hysteresis cells last: per-component regime state (mode,
-  // in-flight analytic completions, RNG stream) traveled with each
-  // component above.
-  if (regime != nullptr) regime->archive_state(ar);
 }
 
 }  // namespace gdisim

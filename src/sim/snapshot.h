@@ -5,10 +5,8 @@
 //   (populations, series launchers, synchreps, indexbuilds — these bind
 //   their live operation instances into the handler registry) → hardware
 //   components in AgentId order (their queues encode completion-handler
-//   pointers through the registry; each also carries its service-regime
-//   state — mode, analytic in-flight completions, sampling RNG, epoch
-//   counters) → per-server memory occupancy → topology failure state →
-//   collector series → regime-controller hysteresis cells.
+//   pointers through the registry) → per-server memory occupancy →
+//   topology failure state → collector series.
 //
 // Software agents come before hardware so that every handler key a
 // component writes or resolves is already bound, in both directions.
@@ -19,7 +17,6 @@
 namespace gdisim {
 
 class Collector;
-class RegimeController;
 class SimulationLoop;
 struct Scenario;
 
@@ -28,9 +25,8 @@ struct Scenario;
 /// freshly constructed with the same structure as the one that saved the
 /// snapshot; a structural mismatch throws std::runtime_error carrying a
 /// line-by-line diff (rates/intervals may differ — that is warm-start
-/// forking). `regime` may be null (layer-level tests); GdiSimulator always
-/// passes its controller so auto-regime runs resume mid-hysteresis.
+/// forking).
 void archive_simulation(StateArchive& ar, Scenario& scenario, SimulationLoop& loop,
-                        Collector& collector, RegimeController* regime = nullptr);
+                        Collector& collector);
 
 }  // namespace gdisim

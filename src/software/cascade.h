@@ -59,10 +59,6 @@ struct MessageSpec {
   std::optional<double> size_mb_override;
   /// Cores the destination CPU stage may fork across (thesis §9.1.1).
   unsigned cpu_parallelism = 1;
-  /// Dense per-catalog message id (1-based; 0 = not interned). Assigned by
-  /// OperationCatalog::add and consumed by the RouteCache as its cache key;
-  /// daemon-synthesized cascades keep 0 and always take the uncached path.
-  std::uint32_t route_key = 0;  // ARCHIVE-TRANSIENT: catalog wiring; archived specs are daemon-built
 };
 
 struct Sequence {

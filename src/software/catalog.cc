@@ -251,25 +251,6 @@ void OperationCatalog::add(CascadeSpec spec) {
     it->second = std::move(spec);
     by_id_[it->second.op_id] = &it->second;
   }
-  intern_messages();
-}
-
-void OperationCatalog::intern_messages() {
-  // Dense, deterministic message keys: walk every spec in name order and
-  // number messages 1..N in cascade position order. Re-run after every add()
-  // (construction-time only) so replaced specs never leave stale pointers in
-  // the key table. Key 0 stays "not interned" (daemon-built cascades).
-  msgs_by_key_.clear();
-  for (auto& [name, spec] : ops_) {
-    for (Step& step : spec.steps) {
-      for (Sequence& branch : step.branches) {
-        for (MessageSpec& m : branch.messages) {
-          msgs_by_key_.push_back(&m);
-          m.route_key = static_cast<std::uint32_t>(msgs_by_key_.size());
-        }
-      }
-    }
-  }
 }
 
 const CascadeSpec& OperationCatalog::get(const std::string& name) const {

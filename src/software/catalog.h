@@ -41,18 +41,9 @@ class OperationCatalog {
     for (const auto& [name, spec] : ops_) fn(spec);
   }
 
-  /// Interned message view (RouteCache keys): every MessageSpec of every
-  /// catalog op carries a dense 1-based `route_key`; `message_by_key(k)` is
-  /// valid for k in [1, message_count()].
-  std::size_t message_count() const { return msgs_by_key_.size(); }
-  const MessageSpec& message_by_key(std::uint32_t key) const { return *msgs_by_key_.at(key - 1); }
-
  private:
-  void intern_messages();
-
   std::map<std::string, CascadeSpec> ops_;
   std::vector<const CascadeSpec*> by_id_;  // values in ops_ are node-stable
-  std::vector<const MessageSpec*> msgs_by_key_;  // keyed route_key - 1; node-stable
 };
 
 /// File sizes (MB) of the three Ch. 5 validation series.

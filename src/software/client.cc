@@ -113,9 +113,6 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config, const Operatio
   // Scanning every slot on every tick dominates large scenarios; a 0.25 s
   // launch granularity is negligible against multi-second think times.
   scan_every_ = std::max<Tick>(1, clock_.to_ticks(0.25));
-  // Coalesced wakes re-examine a flat workload curve at least daily (the
-  // curve is 24 h periodic, so a day with no rise means there is none).
-  coalesce_recheck_ticks_ = grid_ceil(clock_.to_ticks(24.0 * 3600.0));
 
   name_hash_ = stable_hash(config_.name);
   live_by_slot_.resize(slots_.size());
@@ -142,7 +139,6 @@ void ClientPopulation::rebuild_wake_index() {
   parked_.clear();
   parked_min_ = kNoParked;
   parked_sorted_ = true;
-  rise_cache_valid_ = false;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (!slots_[i].busy) {
       think_heap_.emplace_back(slots_[i].ready_at, static_cast<std::uint32_t>(i));
@@ -157,96 +153,13 @@ void ClientPopulation::park(std::uint32_t idx) {
   if (idx < parked_min_) parked_min_ = idx;
 }
 
-std::size_t ClientPopulation::waterline_at(Tick boundary) const {
-  const double hour = clock_.to_seconds(boundary) / 3600.0;
-  const std::size_t n =
-      static_cast<std::size_t>(std::lround(config_.curve.at_hour(hour)));
-  return std::min(n, slots_.size());
-}
-
-Tick ClientPopulation::coalesced_wake_tick(Tick next_now) const {
-  GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kWake);
-  // First grid boundary at which a scan may run: the grid is anchored at
-  // tick 0 (the first scan happens at tick 0 and every rearm lands back on a
-  // multiple of scan_every_), so both candidates below stay on it.
-  const Tick base = std::max(next_scan_, grid_ceil(next_now));
-  Tick wake = kNeverTick;
-  if (!think_heap_.empty()) {
-    // The reference loop launches a think-expired slot at the first boundary
-    // >= its ready_at; waking exactly there reproduces that launch tick.
-    wake = std::max(base, grid_ceil(think_heap_.front().first));
-    // Busy-population short-circuit: parked_rise_boundary(base) >= base by
-    // construction, so when the think heap already forces the earliest
-    // possible boundary the curve-scanning rise search cannot move the wake
-    // and is skipped entirely.
-    if (wake == base) return wake;
-  }
-  if (parked_min_ != kNoParked) {
-    wake = std::min(wake, parked_rise_boundary(base));
-  }
-  // Neither pending think times nor parked slots: every slot is busy, and
-  // the completion that frees one wakes the inbox.
-  return wake;
-}
-
-Tick ClientPopulation::parked_rise_boundary(Tick from) const {
-  if (rise_cache_valid_ && rise_cache_parked_min_ == parked_min_ &&
-      rise_cache_from_ <= from && from <= rise_cache_result_) {
-    // Every boundary in [rise_cache_from_, rise_cache_result_) is known
-    // quiet for this parked_min_, so the first rise at or after `from` is
-    // still the cached one.
-    return rise_cache_result_;
-  }
-  // lround(v) > parked_min_ requires v >= parked_min_ + 0.5 (curve >= 0), so
-  // an hour segment whose endpoints both sit strictly below that threshold
-  // cannot contain a rise boundary: the curve is linear between hourly
-  // control points. Boundaries inside candidate segments are then checked
-  // with the exact scan expression (waterline_at), never an approximation.
-  const double threshold = static_cast<double>(parked_min_) + 0.5;
-  const Tick cap = from + coalesce_recheck_ticks_;
-  Tick g = from;
-  while (g < cap) {
-    const double hour = clock_.to_seconds(g) / 3600.0;
-    const double h0 = std::floor(hour);
-    if (config_.curve.at_hour(h0) < threshold &&
-        config_.curve.at_hour(h0 + 1.0) < threshold) {
-      // Jump to the next hour segment, backing off one boundary so a tick
-      // conversion that rounds past the hour mark cannot skip a boundary;
-      // the max() keeps the walk strictly advancing.
-      const Tick next_hour = clock_.to_ticks((h0 + 1.0) * 3600.0);
-      g = std::max(grid_ceil(next_hour) - scan_every_, g + scan_every_);
-      continue;
-    }
-    // Candidate segment: walk its boundaries with the exact waterline.
-    while (g < cap && std::floor(clock_.to_seconds(g) / 3600.0) == h0) {
-      if (static_cast<std::size_t>(parked_min_) < waterline_at(g)) {
-        rise_cache_valid_ = true;
-        rise_cache_parked_min_ = parked_min_;
-        rise_cache_from_ = from;
-        rise_cache_result_ = g;
-        return g;
-      }
-      g += scan_every_;
-    }
-  }
-  // No rise within a day: wake at the cap to re-arm (result-neutral — the
-  // scan there finds nothing to launch, exactly like a quiet reference scan).
-  rise_cache_valid_ = true;
-  rise_cache_parked_min_ = parked_min_;
-  rise_cache_from_ = from;
-  rise_cache_result_ = cap;
-  return cap;
-}
-
 void ClientPopulation::on_tick(Tick now) {
   if (now < next_scan_) return;
-  // Coalesced wakes land on the scan grid by construction; an off-grid wake
-  // (a completion delivery arriving mid-nap) must not scan, because the
-  // reference loop only ever scans at grid ticks — an off-grid scan would
-  // shift launch decisions and the waterline sampling points.
-  if (coalesce_ && now % scan_every_ != 0) return;
+  GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kWake);
   next_scan_ = now + scan_every_;
-  logged_in_ = waterline_at(now);
+  const double hour = clock_.to_seconds(now) / 3600.0;
+  logged_in_ = std::min(static_cast<std::size_t>(std::lround(config_.curve.at_hour(hour))),
+                        slots_.size());
 
   // Collect this scan's launch set: think times that just expired, plus any
   // parked (long-ready) slots the rising workload curve now covers. Slots

@@ -192,22 +192,11 @@ class ClientPopulation final : public Agent {
   void on_interactions(Tick now) override;
 
   /// Sleeps until the next launch-scan boundary; operation completions post
-  /// to the inbox, which wakes the population immediately. With wake
-  /// coalescing (DESIGN.md §10) the population instead sleeps to the first
-  /// boundary where a scan can actually do something: the grid-rounded head
-  /// of the think heap, or the first boundary where the workload curve rises
-  /// above the lowest parked slot. Quiet boundaries are skipped entirely;
-  /// every launch still happens at exactly the boundary the per-boundary
-  /// reference scan would have used.
+  /// to the inbox, which wakes the population immediately.
   Tick next_wake_tick(Tick next_now) const override {
     if (!completions_.empty()) return next_now;
-    if (!coalesce_) return std::max(next_scan_, next_now);
-    return std::max(coalesced_wake_tick(next_now), next_now);
+    return std::max(next_scan_, next_now);
   }
-
-  /// Enables coalesced scan wakes (SimulatorConfig::wake_coalesce). Off by
-  /// default: directly-constructed populations keep the reference cadence.
-  void set_wake_coalescing(bool on) { coalesce_ = on; }
 
   void on_engine_serial(bool serial) override { completions_.set_serial(serial); }
 
@@ -216,15 +205,6 @@ class ClientPopulation final : public Agent {
 
   /// Target logged-in population right now.
   std::size_t logged_in() const { return logged_in_; }
-  /// Logged-in waterline as of the last scan boundary before tick `t` — the
-  /// value logged_in() held at collection time under the per-boundary
-  /// reference loop, computed lazily from the curve so the coalesced
-  /// scheduler can skip quiet boundaries without going stale. Pure function
-  /// of (curve, t); bit-identical to the on_tick expression.
-  std::size_t logged_in_at(Tick t) const {
-    const Tick last = t > 0 ? t - 1 : 0;
-    return waterline_at(last - last % scan_every_);
-  }
   /// Clients with an operation currently in flight.
   std::size_t active() const { return active_; }
 
@@ -262,22 +242,6 @@ class ClientPopulation final : public Agent {
   void rebuild_wake_index();
   void park(std::uint32_t idx);
 
-  /// The exact waterline the scan computes at a grid boundary:
-  /// min(lround(curve), slot capacity). Shared by on_tick, logged_in_at and
-  /// the coalesced-wake boundary search so all three agree bit-for-bit.
-  std::size_t waterline_at(Tick boundary) const;
-  /// Smallest scan-grid tick >= t (the grid is anchored at tick 0; scans
-  /// only ever run at multiples of scan_every_).
-  Tick grid_ceil(Tick t) const { return ((t + scan_every_ - 1) / scan_every_) * scan_every_; }
-  /// Coalesced wake: min over the think-heap head (grid-rounded) and the
-  /// first boundary where the curve rises above the lowest parked slot.
-  Tick coalesced_wake_tick(Tick next_now) const;
-  /// First grid boundary >= `from` where waterline_at exceeds parked_min_,
-  /// or the one-day recheck cap if the curve stays below it. Memoized:
-  /// boundaries between the cached query point and the cached answer are
-  /// known quiet while parked_min_ is unchanged.
-  Tick parked_rise_boundary(Tick from) const;
-
   ClientPopulationConfig config_;
   // Construction-time wiring, identical in the restored process.
   const OperationCatalog* catalog_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
@@ -289,15 +253,6 @@ class ClientPopulation final : public Agent {
   std::vector<Slot> slots_;
   Tick scan_every_ = 1;  // ARCHIVE-TRANSIENT: derived from config at construction
   Tick next_scan_ = 0;
-  bool coalesce_ = false;  // ARCHIVE-TRANSIENT: scheduler wiring set by the simulator, never affects results
-  Tick coalesce_recheck_ticks_ = 1;  // ARCHIVE-TRANSIENT: derived from config at construction
-  // Memoized parked-rise search (coalesced wakes). next_wake_tick is const
-  // but runs only on the worker that owns this agent's phase slot (or the
-  // master's post-barrier re-query), so the mutable cache is single-writer.
-  mutable bool rise_cache_valid_ = false;  // ARCHIVE-TRANSIENT: derived cache
-  mutable std::uint32_t rise_cache_parked_min_ = 0;  // ARCHIVE-TRANSIENT: derived cache
-  mutable Tick rise_cache_from_ = 0;  // ARCHIVE-TRANSIENT: derived cache
-  mutable Tick rise_cache_result_ = 0;  // ARCHIVE-TRANSIENT: derived cache
   std::uint64_t name_hash_ = 0;  // ARCHIVE-TRANSIENT: stable_hash(config.name), cached
   /// Mix entries / session script pre-resolved to catalog specs so a launch
   /// never does a string-keyed lookup.

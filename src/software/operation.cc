@@ -4,7 +4,6 @@
 
 #include "core/audit.h"
 #include "core/tick_profiler.h"
-#include "software/route_cache.h"
 
 namespace gdisim {
 
@@ -147,39 +146,6 @@ void OperationInstance::start_message(std::size_t branch_idx, Tick now) {
 
 void OperationInstance::submit_stage(std::size_t branch_idx, Tick now) {
   BranchState& br = branches_[branch_idx];
-  if (DelayComponent* timer = ctx_->regime_timer(); timer != nullptr) {
-    // Sender-side analytic bypass (DESIGN.md "Service regimes"): collapse
-    // the maximal run of consecutive stages whose targets are latched
-    // analytic for this epoch into one summed span, sampled here from the
-    // branch RNG — a deterministic stream regardless of thread count — and
-    // park the message on the regime timer for exactly that many ticks.
-    // Bypassed stations never see the jobs (no inbox post, no wake, no
-    // per-tick service); their utilization and arrival statistics are
-    // booked through bypass_admit's order-independent counters.
-    Tick total = 0;
-    std::size_t idx = br.stage_idx;
-    while (idx < br.stages.size()) {
-      const Stage& st = br.stages[idx];
-      const StageJob job{st.work, this, branch_idx, st.parallelism};
-      if (!st.target->bypass_eligible(job)) break;
-      total += st.target->bypass_admit(job, br.rng);
-      ++idx;
-    }
-    if (total > 0) {
-      // Rest the cursor on the last collapsed stage: the timer completion's
-      // ++stage_idx lands on the first non-bypassed stage (or ends the
-      // message), reusing the ordinary completion machinery unchanged.
-      br.stage_idx = idx - 1;
-      const std::uint64_t seq = (params_.instance_serial << 24) |
-                                (static_cast<std::uint64_t>(branch_idx) << 16) | br.local_seq++;
-      // total ticks of delay, exactly: the timer's span rounding
-      // ceil(work / tick) recovers `total` from total - 0.5 ticks of work,
-      // matching the tick the per-station analytic path would complete on.
-      const double span_s = (static_cast<double>(total) - 0.5) * timer->tick_seconds();
-      timer->submit(now + 1, params_.launcher_id, seq, StageJob{span_s, this, branch_idx, 1});
-      return;
-    }
-  }
   const Stage& stage = br.stages[br.stage_idx];
   // Per-branch sequence numbers keep inbox ordering deterministic even when
   // sibling branches post concurrently from different worker threads.
@@ -288,15 +254,6 @@ void OperationInstance::archive_state(StateArchive& ar, HandlerRegistry& reg) {
 
 void OperationInstance::build_route(const MessageSpec& m, BranchState& br, Tick now) {
   GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kRouteBuild);
-  if (const RouteCache* rc = ctx_->route_cache(); rc != nullptr && m.route_key != 0) {
-    if (const RouteCacheTemplate* t =
-            rc->lookup(m.route_key, params_.origin_dc, params_.owner_dc)) {
-      rc->count_hit();
-      stamp_route(*t, m, br, now);
-      return;
-    }
-    rc->count_miss();
-  }
   const double size_mb = m.size_mb_override.value_or(params_.size_mb);
   const ResourceVector cost = m.fixed + m.per_mb * size_mb;
   Topology& topo = ctx_->topology();
@@ -366,74 +323,6 @@ void OperationInstance::build_route(const MessageSpec& m, BranchState& br, Tick 
     const double delay =
         cost.cpu_cycles / cm.cpu_hz + cost.disk_bytes / cm.disk_Bps;
     add(&topo.dc(to.dc).client_station(), delay);
-  }
-}
-
-void OperationInstance::stamp_route(const RouteCacheTemplate& t, const MessageSpec& m,
-                                    BranchState& br, Tick now) {
-  // Mirror of the uncached build_route below this point: same RNG draw
-  // order, same arithmetic (divisions by the verified-uniform cached rates,
-  // never multiplications by inverses), same stage-push conditions. The only
-  // work elided is endpoint/tier/route re-resolution and the per-component
-  // virtual single_job_rate() calls.
-  const double size_mb = m.size_mb_override.value_or(params_.size_mb);
-  const ResourceVector cost = m.fixed + m.per_mb * size_mb;
-
-  const std::uint64_t from_key = br.rng.next_u64();
-  const std::uint64_t to_key = br.rng.next_u64();
-  Server* from_server = t.from_tier != nullptr ? &t.from_tier->pick_server(from_key) : nullptr;
-  Server* to_server = t.to_tier != nullptr ? &t.to_tier->pick_server(to_key) : nullptr;
-
-  std::vector<Stage>& stages = br.stages;
-  stages.clear();
-  // The template's precomputed instant corners make `work < instant_w`
-  // exactly the builder's `rate > 0 && fl(work / rate) < instant_below`
-  // (see instant_work_threshold in route_cache.cc), eliding one division
-  // per stage per message.
-  auto add = [&stages, now](Component* c, double work, double instant_w) {
-    if (c == nullptr || work <= 0.0) return;
-    if (work < instant_w) {
-      c->account_instant(work, now);
-      return;
-    }
-    stages.push_back(Stage{c, work});
-  };
-
-  const double bits = cost.net_bytes * 8.0;
-
-  if (from_server != nullptr) add(&from_server->nic(), bits, t.from_nic_instant_w);
-
-  for (LinkComponent* link : *t.wan) {
-    stages.push_back(Stage{link, bits});
-  }
-
-  add(t.dc_switch, bits, t.switch_instant_w);
-
-  if (to_server != nullptr) {
-    add(t.tier_link, bits, t.tier_link_instant_w);
-    add(&to_server->nic(), bits, t.to_nic_instant_w);
-
-    if (cost.mem_bytes > 0.0) {
-      to_server->memory().allocate(cost.mem_bytes);
-      br.held_memory = &to_server->memory();
-      br.held_bytes = cost.mem_bytes;
-    }
-
-    add(&to_server->cpu(), cost.cpu_cycles, t.cpu_instant_w);
-    if (m.cpu_parallelism > 1 && !stages.empty() &&
-        stages.back().target == &to_server->cpu()) {
-      stages.back().parallelism = m.cpu_parallelism;
-    }
-
-    if (cost.disk_bytes > 0.0) {
-      const bool cache_hit =
-          to_server->memory().storage_access_hits_cache(br.rng.next_double());
-      if (!cache_hit) add(to_server->storage(), cost.disk_bytes, t.storage_instant_w);
-    }
-  } else {
-    const double delay =
-        cost.cpu_cycles / t.cm_cpu_hz + cost.disk_bytes / t.cm_disk_Bps;
-    add(t.client_station, delay, t.station_instant_w);
   }
 }
 

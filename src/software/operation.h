@@ -24,9 +24,6 @@
 
 namespace gdisim {
 
-class RouteCache;
-struct RouteCacheTemplate;
-
 /// Resolves cascade endpoints to concrete hardware and builds stage routes.
 class OperationContext {
  public:
@@ -41,18 +38,6 @@ class OperationContext {
   /// hardware/component.h). 0 disables the optimization entirely.
   double instant_fraction() const { return instant_fraction_; }
   void set_instant_fraction(double f) { instant_fraction_ = f; }
-
-  /// Regime-layer timer station for the sender-side analytic bypass
-  /// (DESIGN.md "Service regimes"); nullptr when the regime layer is
-  /// inactive, which compiles submit_stage down to the reference path.
-  DelayComponent* regime_timer() const { return regime_timer_; }
-  void set_regime_timer(DelayComponent* timer) { regime_timer_ = timer; }
-
-  /// Route memoization (DESIGN.md §10): when non-null, interned messages
-  /// stamp cached templates instead of re-resolving; nullptr keeps every
-  /// message on the reference builder. Results are bit-identical either way.
-  const RouteCache* route_cache() const { return route_cache_; }
-  void set_route_cache(const RouteCache* cache) { route_cache_ = cache; }
 
   /// Resolves an endpoint to a data center id. `Owner` falls back to the
   /// MDC when owner_dc is invalid.
@@ -72,8 +57,6 @@ class OperationContext {
   Topology* topology_;
   DcId master_dc_;
   double instant_fraction_ = 0.25;
-  DelayComponent* regime_timer_ = nullptr;  // NOLINT(gdisim-snapshot-ptr) construction-time wiring
-  const RouteCache* route_cache_ = nullptr;  // NOLINT(gdisim-snapshot-ptr) construction-time wiring
 };
 
 struct LaunchParams {
@@ -158,16 +141,8 @@ class OperationInstance final : public StageCompletionHandler {
 
   /// Builds the component route for one message (Eq. 3.2-3.5) into
   /// `branch.stages`, reusing its capacity. `now` stamps the sub-tick
-  /// ("instant") work accounted against bypassed components. Dispatches to
-  /// stamp_route when the context's RouteCache holds a valid template for
-  /// this (message, origin, owner) triple.
+  /// ("instant") work accounted against bypassed components.
   void build_route(const MessageSpec& m, BranchState& branch, Tick now);
-
-  /// Fast path: replays a cached route template, drawing the same RNG
-  /// stream, picking the same servers and making the same instant-bypass
-  /// decisions as the uncached builder — bit-identical by construction.
-  void stamp_route(const RouteCacheTemplate& t, const MessageSpec& m, BranchState& branch,
-                   Tick now);
 
   // Construction-time wiring, identical in the restored process.
   const CascadeSpec* spec_;  // NOLINT(gdisim-snapshot-ptr) construction-time wiring

@@ -142,6 +142,7 @@ TEST(Loader, ErrorsQuoteOffendingToken) {
       {"datacenter A\n weird 1\nend\n", "'weird'"},
       {"datacenter A\n san 1 4 15000\n tier fs 1 1 1\nend\npopulation P NOPE CAD 5\nend\n",
        "unknown datacenter 'NOPE'"},
+      {"tick 0.02\nregime auto\n  epoch 2\nend\n", "<stream>:2: unknown directive 'regime'"},
   };
   for (const Case& c : cases) {
     std::istringstream is(c.body);
@@ -200,71 +201,6 @@ backup_link A B 0.5 20
 
 TEST(Loader, FileNotFound) {
   EXPECT_THROW(load_scenario_file("/nonexistent/path.gdisim"), std::invalid_argument);
-}
-
-TEST(Loader, RegimeBlockRoundTrips) {
-  std::istringstream is(sample_without_bad_backup() + R"(
-regime auto
-  epoch 4
-  enter 0.25 3
-  exit 0.6
-  hysteresis 5
-  cooldown 12
-end
-)");
-  Scenario s = load_scenario(is);
-  EXPECT_EQ(s.regime.mode, RegimeMode::kAuto);
-  EXPECT_DOUBLE_EQ(s.regime.epoch_seconds, 4.0);
-  EXPECT_DOUBLE_EQ(s.regime.enter_utilization, 0.25);
-  EXPECT_EQ(s.regime.enter_max_queue, 3u);
-  EXPECT_DOUBLE_EQ(s.regime.exit_utilization, 0.6);
-  EXPECT_EQ(s.regime.hysteresis_epochs, 5u);
-  EXPECT_EQ(s.regime.guard_cooldown_epochs, 12u);
-}
-
-TEST(Loader, RegimeDefaultsToDiscreteAndBareBlockKeepsDefaults) {
-  {
-    std::istringstream is(sample_without_bad_backup());
-    Scenario s = load_scenario(is);
-    EXPECT_EQ(s.regime.mode, RegimeMode::kDiscrete);
-  }
-  {
-    std::istringstream is(sample_without_bad_backup() + "\nregime analytic\nend\n");
-    Scenario s = load_scenario(is);
-    EXPECT_EQ(s.regime.mode, RegimeMode::kAnalytic);
-    const RegimePolicy defaults;
-    EXPECT_DOUBLE_EQ(s.regime.epoch_seconds, defaults.epoch_seconds);
-    EXPECT_DOUBLE_EQ(s.regime.enter_utilization, defaults.enter_utilization);
-    EXPECT_DOUBLE_EQ(s.regime.exit_utilization, defaults.exit_utilization);
-  }
-}
-
-TEST(Loader, RegimeErrorsCarryLineNumbers) {
-  struct Case {
-    const char* block;
-    const char* want;  // substring the message must contain
-  };
-  const Case cases[] = {
-      {"regime sometimes\nend\n", "unknown regime mode 'sometimes'"},
-      {"regime auto\n  tempo 2\nend\n", "unknown regime directive 'tempo'"},
-      {"regime auto\n  epoch -1\nend\n", "regime epoch must be positive"},
-      {"regime auto\n  enter 0.8 2\n  exit 0.5\nend\n", "exit utilization"},
-      {"regime auto\n  hysteresis 0\nend\n", "hysteresis"},
-      {"regime auto\n  epoch 2\n", "not closed"},
-  };
-  for (const Case& c : cases) {
-    std::istringstream is(sample_without_bad_backup() + "\n" + c.block);
-    try {
-      load_scenario(is, "sample.gdisim");
-      FAIL() << "expected throw for: " << c.block;
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(c.want), std::string::npos)
-          << "message '" << what << "' lacks '" << c.want << "'";
-      EXPECT_NE(what.find("sample.gdisim:"), std::string::npos)
-          << "message '" << what << "' lacks a file:line prefix";
-    }
-  }
 }
 
 TEST(Loader, SampleConfigFileParses) {

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/rng.h"
 #include "core/sim_loop.h"
 #include "hardware/cpu.h"
 #include "hardware/delay.h"
@@ -12,6 +13,7 @@
 #include "hardware/network_switch.h"
 #include "hardware/raid.h"
 #include "hardware/san.h"
+#include "queueing/analytic.h"
 
 namespace gdisim {
 namespace {
@@ -117,6 +119,46 @@ TEST(NicComponent, ServesBitsAtLineRate) {
   harness.run(4);
   ASSERT_EQ(h.completions.size(), 1u);
   EXPECT_EQ(h.completions[0].now, 2);
+}
+
+TEST(NicComponent, MeanSojournMatchesMm1Oracle) {
+  // M/M/1: 1e9 b/s line, Poisson arrivals at lambda = 40/s, exponential
+  // 1e7-bit messages (mu = 100/s) => E[T] = 1/(mu - lambda) = 16.67 ms.
+  const double dt = 0.001, lambda = 40.0, mu = 100.0;
+  const std::size_t jobs = 4000, warmup = 500;
+  Rng arrivals(1234);
+  Rng demands(5678);
+  std::vector<Tick> arrive_tick(jobs);
+  std::vector<double> work(jobs);
+  double t = 0.0;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    t += arrivals.next_exponential(1.0 / lambda);
+    arrive_tick[i] = static_cast<Tick>(t / dt) + 1;
+    work[i] = demands.next_exponential(1e7);
+  }
+
+  NicComponent nic(NicSpec{1e9});
+  RecordingHandler h;
+  ComponentHarness harness(nic, dt);
+  std::size_t next = 0;
+  while (h.completions.size() < jobs) {
+    while (next < jobs && arrive_tick[next] == harness.now() + 1) {
+      harness.submit(work[next], &h, next);
+      ++next;
+    }
+    harness.step();
+    ASSERT_LT(harness.now(), static_cast<Tick>(100000000)) << "station stopped serving";
+  }
+
+  double sum = 0.0;
+  std::size_t counted = 0;
+  for (const auto& r : h.completions) {
+    if (r.tag < warmup) continue;
+    sum += static_cast<double>(r.now - arrive_tick[r.tag]) * dt;
+    ++counted;
+  }
+  const double oracle = analytic::mm1_mean_response_time(lambda, mu);
+  EXPECT_NEAR(sum / static_cast<double>(counted), oracle, 0.15 * oracle);
 }
 
 TEST(SwitchComponent, FasterThanNic) {

@@ -20,6 +20,12 @@ struct MmcCase {
   double mu;
 };
 
+// gtest's default dump of the struct includes the indeterminate padding after
+// `servers`, which would leak into the discovered test names.
+void PrintTo(const MmcCase& c, std::ostream* os) {
+  *os << "c=" << c.servers << " lambda=" << c.lambda << " mu=" << c.mu;
+}
+
 class MmcConvergence : public ::testing::TestWithParam<MmcCase> {};
 
 TEST_P(MmcConvergence, FcfsMatchesErlangC) {

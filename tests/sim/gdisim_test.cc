@@ -46,13 +46,11 @@ TEST(GdiSimulator, StandardProbesInstalled) {
 
 TEST(GdiSimulator, AgentsRegisteredWithLoop) {
   GdiSimulator sim(small_validation(), SimulatorConfig{6.0, 0, 64});
-  // Components of the validation DC + three series launchers + the regime
-  // layer's bypass timer (registered in every mode so the snapshot shape
-  // does not depend on the regime configuration).
+  // Components of the validation DC + three series launchers.
   EXPECT_GT(sim.loop().agent_count(), 20u);
   EXPECT_EQ(sim.loop().agent_count(),
             sim.scenario().topology->all_components().size() +
-                sim.scenario().launchers.size() + 1u);
+                sim.scenario().launchers.size());
 }
 
 TEST(GdiSimulator, WorkIsActuallySimulated) {

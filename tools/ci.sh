@@ -25,19 +25,9 @@
 #   sanitize-snapshot  the snapshot/archive test suite (round trips,
 #            corruption rollback, restore equivalence) under ASan+UBSan and
 #            standalone UBSan builds
-#   perf-smoke  bench_scale_frontier + bench_route_cache in fast mode with a
-#            tiny tick budget; fails when a bench exits nonzero or its JSON
-#            is missing, malformed, or lacks the required fields (for
-#            bench_route_cache: hit rate >= 0.95 and matching fingerprints)
-#   fastpath per-message fast path equivalence (DESIGN.md §10): fingerprints
-#            with the route cache / inbox batching / wake coalescing enabled,
-#            disabled together (--no-fastpath) and disabled one at a time
-#            must be bit-identical across thread counts and scheduler modes,
-#            on both the release and audit binaries
-#   regime   adaptive analytic/fluid service regimes: --regime auto must be
-#            fingerprint-deterministic across thread counts, and its
-#            fig-6-12 CPU curves must stay within the Table 5.3 validation
-#            bands of the all-discrete run; emits build/regime-report.json
+#   perf-smoke  bench_scale_frontier in fast mode with a tiny tick budget;
+#            fails when the bench exits nonzero or its JSON is missing,
+#            malformed, or lacks the required fields
 #   release/audit/asan/ubsan/tsan   CMake presets: configure + build + ctest
 #
 # Sanitizer suites run the full tier-1 ctest set; on small hosts expect the
@@ -48,7 +38,7 @@ cd "$(dirname "$0")/.."
 
 LEGS=("$@")
 if [ ${#LEGS[@]} -eq 0 ]; then
-  LEGS=(lint archive-coverage isolation release audit smoke fastpath perf-smoke regime snapshot sanitize-snapshot asan tsan)
+  LEGS=(lint archive-coverage isolation release audit smoke perf-smoke snapshot sanitize-snapshot asan tsan)
 fi
 
 JOBS="${JOBS:-$(nproc)}"
@@ -223,155 +213,6 @@ if not per_scale:
     sys.exit(f"perf-smoke: {sys.argv[1]} has no per-scale ticks_per_second fields")
 print(f"perf-smoke: JSON ok ({len(per_scale)} scale points)")
 EOF
-
-  echo "--- [perf-smoke] route-cache bench (fast mode) ---"
-  cmake --build --preset release -j "$JOBS" --target bench_route_cache >/dev/null
-  GDISIM_BENCH_FAST=1 GDISIM_BENCH_JSON_DIR="$workdir" \
-      build/bench/bench_route_cache || {
-    echo "perf-smoke: bench_route_cache failed" >&2
-    return 1
-  }
-  local rc_json="$workdir/BENCH_route_cache.json"
-  if [ ! -f "$rc_json" ]; then
-    echo "perf-smoke: $rc_json was not written" >&2
-    return 1
-  fi
-  python3 - "$rc_json" <<'EOF' || return 1
-import json, sys
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-required = ["hit_rate", "hits", "misses", "templates", "valid_templates",
-            "cached_wall_seconds", "uncached_wall_seconds",
-            "build_vs_stamp_ns_per_route", "fingerprint_match"]
-missing = [k for k in required if k not in data]
-if missing:
-    sys.exit(f"perf-smoke: {sys.argv[1]} missing fields: {missing}")
-if data["fingerprint_match"] != 1:
-    sys.exit("perf-smoke: route cache changed the result fingerprint")
-if data["hit_rate"] < 0.95:
-    sys.exit(f"perf-smoke: route-cache hit rate {data['hit_rate']:.4f} below the 0.95 gate")
-print(f"perf-smoke: route-cache JSON ok (hit rate {data['hit_rate']:.4f})")
-EOF
-}
-
-fastpath_check() {
-  local preset="$1" bin="$2"
-  local args="${FASTPATH_ARGS:---scenario consolidated --hours 1 --scale 0.05}"
-  echo "--- [$preset] fast path on/off fingerprint equivalence ---"
-  local base
-  # shellcheck disable=SC2086
-  base=$("$bin" $args --threads 1 --quiet --fingerprint | grep '^fingerprint:')
-  echo "  fast path on, -j1:      $base"
-  local variant fp
-  for variant in \
-      "--no-fastpath --threads 1" \
-      "--no-route-cache --threads 1" \
-      "--no-inbox-batch --threads $SMOKE_THREADS" \
-      "--no-wake-coalesce --threads $SMOKE_THREADS" \
-      "--threads $SMOKE_THREADS" \
-      "--no-fastpath --threads $SMOKE_THREADS --dense-sweep"; do
-    # shellcheck disable=SC2086
-    fp=$("$bin" $args $variant --quiet --fingerprint | grep '^fingerprint:')
-    echo "  $variant: $fp"
-    if [ "$base" != "$fp" ]; then
-      echo "fastpath[$preset]: FINGERPRINT MISMATCH with '$variant' — the fast path changed results" >&2
-      return 1
-    fi
-  done
-}
-
-run_fastpath() {
-  echo "=== [fastpath] per-message fast path equivalence ==="
-  local preset
-  for preset in release audit; do
-    cmake --preset "$preset" >/dev/null
-    cmake --build --preset "$preset" -j "$JOBS" --target gdisim_run >/dev/null
-  done
-  fastpath_check release build/tools/gdisim_run
-  fastpath_check audit build-audit/tools/gdisim_run
-  echo "fastpath: fingerprints identical with the fast path on, off, and per-leg disabled"
-}
-
-run_regime() {
-  echo "=== [regime] adaptive analytic/fluid regimes: auto vs discrete ==="
-  cmake --preset release >/dev/null
-  cmake --build --preset release -j "$JOBS" --target gdisim_run >/dev/null
-  local bin=build/tools/gdisim_run
-  local args="${REGIME_ARGS:---scenario consolidated --hours 2 --scale 0.1}"
-  local workdir
-  workdir=$(mktemp -d)
-  trap 'rm -rf "${workdir:-}"; trap - RETURN' RETURN
-  # Regime decisions run in the single-threaded pre-tick hook from
-  # per-station counters, so the auto fingerprint must not depend on the
-  # worker-thread count.
-  local fp1 fpN
-  # shellcheck disable=SC2086
-  fp1=$("$bin" $args --regime auto --threads 1 --quiet --fingerprint \
-        --csv "$workdir/auto.csv" | grep '^fingerprint:')
-  # shellcheck disable=SC2086
-  fpN=$("$bin" $args --regime auto --threads "$SMOKE_THREADS" --quiet --fingerprint \
-        | grep '^fingerprint:')
-  echo "  auto -j1: $fp1"
-  echo "  auto -j$SMOKE_THREADS: $fpN"
-  if [ "$fp1" != "$fpN" ]; then
-    echo "regime: FINGERPRINT MISMATCH — auto regime depends on thread count" >&2
-    return 1
-  fi
-  # shellcheck disable=SC2086
-  "$bin" $args --regime discrete --threads 1 --quiet \
-        --csv "$workdir/discrete.csv" >/dev/null
-  # Fig. 6-12 comparison: the auto run's consolidated CPU curves (and the
-  # active-client curve) against the all-discrete reference, graded with the
-  # accuracy bands the paper's Table 5.3 grants the simulator itself.
-  python3 - "$workdir/discrete.csv" "$workdir/auto.csv" build/regime-report.json <<'EOF'
-import csv, json, math, sys
-
-def load(path):
-    with open(path) as f:
-        rows = list(csv.reader(f))
-    head, data = rows[0], rows[1:]
-    return {label: [float(r[i]) for r in data] for i, label in enumerate(head)}
-
-def smooth(v, w=10):  # 30 s samples -> 5-minute snapshot means
-    return [sum(v[i:i + w]) / w for i in range(0, len(v) - w + 1, w)]
-
-def rmse(a, b):
-    n = min(len(a), len(b))
-    return math.sqrt(sum((a[i] - b[i]) ** 2 for i in range(n)) / n) if n else 0.0
-
-disc, auto = load(sys.argv[1]), load(sys.argv[2])
-cpu_rmse_pp = 0.0
-worst = ""
-for label in disc:
-    if not label.startswith("cpu/") or label not in auto:
-        continue
-    r = 100.0 * rmse(smooth(disc[label]), smooth(auto[label]))
-    if r > cpu_rmse_pp:
-        cpu_rmse_pp, worst = r, label
-clients_rmse_pct = 0.0
-if "clients/active" in disc and "clients/active" in auto:
-    base = sum(disc["clients/active"]) / max(1, len(disc["clients/active"]))
-    if base > 0:
-        clients_rmse_pct = 100.0 * rmse(smooth(disc["clients/active"]),
-                                        smooth(auto["clients/active"])) / base
-report = {
-    "cpu_rmse_pp_max": cpu_rmse_pp,
-    "cpu_rmse_worst_series": worst,
-    "clients_rmse_pct": clients_rmse_pct,
-    "band_cpu_pp": 13.0,
-    "band_clients_pct": 6.5,
-}
-with open(sys.argv[3], "w") as f:
-    json.dump(report, f, indent=2)
-    f.write("\n")
-print(f"regime: cpu RMSE {cpu_rmse_pp:.2f} pp (worst {worst}, band <= 13), "
-      f"clients RMSE {clients_rmse_pct:.2f}% (band <= 6.5)")
-if cpu_rmse_pp > 13.0:
-    sys.exit("regime: CPU RMSE outside the Table 5.3 band")
-if clients_rmse_pct > 6.5:
-    sys.exit("regime: client-activity RMSE outside the Table 5.3 band")
-EOF
-  echo "regime: auto fingerprints thread-stable; accuracy within Table 5.3 bands"
 }
 
 run_tsan() {
@@ -405,10 +246,8 @@ for leg in "${LEGS[@]}"; do
     isolation) run_isolation ;;
     tidy) run_tidy ;;
     smoke) run_smoke ;;
-    fastpath) run_fastpath ;;
     snapshot) run_snapshot ;;
     perf-smoke) run_perf_smoke ;;
-    regime) run_regime ;;
     sanitize-snapshot) run_sanitize_snapshot ;;
     tsan) run_tsan ;;
     *) run_preset "$leg" ;;

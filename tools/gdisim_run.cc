@@ -4,31 +4,40 @@
 //
 // Options:
 //   --scenario validation|consolidated|multimaster   (default consolidated)
+//   --config FILE            load a .gdisim scenario file instead
 //   --experiment 1|2|3       validation series frequencies (default 1)
-//   --hours H                simulated horizon (default 24; validation: 0.65)
+//   --hours H                simulated horizon (default 24; validation: 38 min)
 //   --scale S                population/hardware scale (default 0.1)
-//   --threads N              worker threads (default: cores - 1)
+//   --threads N              worker threads (default 0: serial)
 //   --seed N                 run seed (default 42)
 //   --csv PATH               dump every collector series as CSV
 //   --dense-sweep            disable active-set scheduling (reference oracle)
 //   --quiet                  suppress the summary tables
+//   --fingerprint            print the 64-bit result digest
 //   --validate               parse + build the scenario, report, and exit
 //   --checkpoint PATH        write a snapshot at the end of the run
 //   --checkpoint-every S     also snapshot every S simulated seconds
 //   --restore PATH           start from a snapshot instead of t=0 (the
 //                            scenario must be structurally identical;
 //                            --hours remains the absolute horizon)
-//   --regime discrete|analytic|auto   override the scenario's service-regime
-//                            mode (--regime=MODE also accepted); thresholds
-//                            come from the scenario's `regime` block
 //   --tick-profile PATH      dump per-phase wall-clock buckets as JSON
 //                            (GDISIM_TICK_PROFILE builds only)
+//
+// Exit codes: 0 success; 2 bad command line (unknown flag, missing or
+// malformed value — the message names the flag); 1 anything that fails
+// after parsing (scenario file errors as `file:line: why`, unwritable output
+// paths, snapshot restore errors as `path:byte N: why`).
 #include <algorithm>
-#include <cstring>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <optional>
+#include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "config/loader.h"
@@ -49,7 +58,6 @@ struct CliOptions {
   double scale = 0.10;
   bool scale_set = false;
   std::size_t threads = 0;
-  bool threads_set = false;
   std::uint64_t seed = 42;
   std::string csv_path;
   bool dense_sweep = false;
@@ -59,53 +67,69 @@ struct CliOptions {
   std::string checkpoint_path;
   double checkpoint_every_s = 0.0;
   std::string restore_path;
-  std::optional<RegimeMode> regime;
-  bool route_cache = true;
-  bool inbox_batch = true;
-  bool wake_coalesce = true;
   std::string tick_profile_path;
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " [--scenario validation|consolidated|multimaster | --config FILE]\n"
-               "       [--experiment N] [--hours H] [--scale S] [--threads N] [--seed N]\n"
+[[noreturn]] void usage() {
+  std::cerr << "usage: gdisim_run [--scenario validation|consolidated|multimaster | --config FILE]\n"
+               "       [--experiment 1|2|3] [--hours H] [--scale S] [--threads N] [--seed N]\n"
                "       [--csv PATH] [--dense-sweep] [--quiet] [--fingerprint] [--validate]\n"
                "       [--checkpoint PATH] [--checkpoint-every S] [--restore PATH]\n"
-               "       [--regime discrete|analytic|auto]\n"
-               "       [--no-fastpath] [--no-route-cache] [--no-inbox-batch]\n"
-               "       [--no-wake-coalesce] [--tick-profile PATH]\n";
+               "       [--tick-profile PATH]\n";
   std::exit(2);
+}
+
+[[noreturn]] void bad_value(const std::string& flag, const std::string& value) {
+  std::cerr << "gdisim_run: " << flag << ": bad value '" << value << "'\n";
+  std::exit(2);
+}
+
+/// The flag's value as a whole-string number accepted by `ok` (no leading
+/// blanks or '+', no trailing junk, no sign on unsigned types, finite for
+/// floating point); anything else exits 2 naming the flag.
+template <typename T, typename Ok>
+T parse_number(const std::string& flag, const std::string& value, Ok ok) {
+  T v{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  bool valid = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) valid = valid && std::isfinite(v);
+  if (!valid || !ok(v)) bad_value(flag, value);
+  return v;
 }
 
 CliOptions parse(int argc, char** argv) {
   CliOptions opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
+    auto next = [&]() -> std::string {
+      if (i + 1 >= argc) {
+        std::cerr << "gdisim_run: " << arg << ": missing value\n";
+        std::exit(2);
+      }
       return argv[++i];
     };
+    auto any = [](auto) { return true; };
+    auto positive = [](double v) { return v > 0.0; };
     if (arg == "--scenario") {
       opt.scenario = next();
+      if (opt.scenario != "validation" && opt.scenario != "consolidated" &&
+          opt.scenario != "multimaster") {
+        bad_value(arg, opt.scenario);
+      }
     } else if (arg == "--config") {
       opt.config_path = next();
     } else if (arg == "--experiment") {
-      opt.experiment = std::atoi(next());
+      opt.experiment = parse_number<int>(arg, next(), [](int e) { return e >= 1 && e <= 3; });
     } else if (arg == "--hours") {
-      opt.hours = std::atof(next());
+      opt.hours = parse_number<double>(arg, next(), [](double h) { return h >= 0.0; });
     } else if (arg == "--scale") {
-      opt.scale = std::atof(next());
+      opt.scale = parse_number<double>(arg, next(), positive);
       opt.scale_set = true;
-      if (!(opt.scale > 0.0)) {
-        std::cerr << argv[0] << ": --scale must be > 0\n";
-        std::exit(2);
-      }
     } else if (arg == "--threads") {
-      opt.threads = static_cast<std::size_t>(std::atoi(next()));
-      opt.threads_set = true;
+      opt.threads = parse_number<std::size_t>(arg, next(), any);
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      opt.seed = parse_number<std::uint64_t>(arg, next(), any);
     } else if (arg == "--csv") {
       opt.csv_path = next();
     } else if (arg == "--dense-sweep") {
@@ -119,48 +143,20 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--checkpoint") {
       opt.checkpoint_path = next();
     } else if (arg == "--checkpoint-every") {
-      opt.checkpoint_every_s = std::atof(next());
+      opt.checkpoint_every_s = parse_number<double>(arg, next(), positive);
     } else if (arg == "--restore") {
       opt.restore_path = next();
-    } else if (arg == "--no-fastpath") {
-      // Equivalence-suite switch: the entire per-message fast path off at
-      // once (DESIGN.md §10); results must be bit-identical either way.
-      opt.route_cache = false;
-      opt.inbox_batch = false;
-      opt.wake_coalesce = false;
-    } else if (arg == "--no-route-cache") {
-      opt.route_cache = false;
-    } else if (arg == "--no-inbox-batch") {
-      opt.inbox_batch = false;
-    } else if (arg == "--no-wake-coalesce") {
-      opt.wake_coalesce = false;
     } else if (arg == "--tick-profile") {
       opt.tick_profile_path = next();
       if (!tickprof::kEnabled) {
-        std::cerr << argv[0]
-                  << ": --tick-profile needs a GDISIM_TICK_PROFILE build "
+        std::cerr << "gdisim_run: --tick-profile needs a GDISIM_TICK_PROFILE build "
                      "(cmake -DGDISIM_TICK_PROFILE=ON)\n";
         std::exit(2);
       }
-    } else if (arg == "--regime" || arg.rfind("--regime=", 0) == 0) {
-      const std::string value = arg == "--regime" ? next() : arg.substr(9);
-      opt.regime = parse_regime_mode(value);
-      if (!opt.regime.has_value()) {
-        std::cerr << argv[0] << ": --regime must be discrete|analytic|auto, got '" << value
-                  << "'\n";
-        std::exit(2);
-      }
     } else {
-      usage(argv[0]);
+      std::cerr << "gdisim_run: unknown flag '" << arg << "'\n";
+      usage();
     }
-  }
-  if (opt.config_path.empty() && opt.scenario != "validation" &&
-      opt.scenario != "consolidated" && opt.scenario != "multimaster") {
-    usage(argv[0]);
-  }
-  if (!opt.threads_set) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    opt.threads = hw > 1 ? hw - 1 : 0;
   }
   if (opt.hours < 0) opt.hours = opt.scenario == "validation" ? 38.0 / 60.0 : 24.0;
   if (!opt.config_path.empty() && !opt.scale_set) opt.scale = 1.0;
@@ -241,31 +237,34 @@ void print_summary(GdiSimulator& sim, double horizon_s) {
   std::cout << "\n";
 }
 
-}  // namespace
+/// Output files are opened (in append mode, so nothing is truncated) before
+/// the run starts: an unwritable path fails in milliseconds, not after a
+/// multi-hour simulation.
+void require_writable(const std::string& path) {
+  if (path.empty()) return;
+  std::ofstream probe(path, std::ios::app);
+  if (!probe) throw std::runtime_error("cannot open '" + path + "' for writing");
+}
 
-int main(int argc, char** argv) {
-  const CliOptions opt = parse(argc, argv);
-
+int run(const CliOptions& opt) {
   if (opt.validate) {
     // Parse + build only: loader errors carry "<file>:<line>: ..." and the
     // offending token, so a bad config fails here with an editor-friendly
     // message instead of minutes into a run.
-    try {
-      Scenario scenario = make_scenario(opt);
-      SimulatorConfig cfg;
-      cfg.threads = 0;
-      GdiSimulator sim(std::move(scenario), cfg);
-      std::cout << "config OK: "
-                << (opt.config_path.empty() ? opt.scenario : opt.config_path) << ": "
-                << sim.loop().agent_count() << " agents, "
-                << sim.scenario().populations.size() << " populations, "
-                << sim.scenario().synchreps.size() << " synchreps, "
-                << sim.scenario().indexbuilds.size() << " indexbuilds\n";
-      return 0;
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << "\n";
-      return 1;
-    }
+    Scenario scenario = make_scenario(opt);
+    SimulatorConfig cfg;
+    cfg.threads = 0;
+    GdiSimulator sim(std::move(scenario), cfg);
+    std::cout << "config OK: " << (opt.config_path.empty() ? opt.scenario : opt.config_path)
+              << ": " << sim.loop().agent_count() << " agents, "
+              << sim.scenario().populations.size() << " populations, "
+              << sim.scenario().synchreps.size() << " synchreps, "
+              << sim.scenario().indexbuilds.size() << " indexbuilds\n";
+    return 0;
+  }
+
+  for (const std::string* path : {&opt.checkpoint_path, &opt.csv_path, &opt.tick_profile_path}) {
+    require_writable(*path);
   }
 
   std::cout << "GDISim: scenario="
@@ -278,21 +277,11 @@ int main(int argc, char** argv) {
   cfg.threads = opt.threads;
   cfg.collect_every_s = opt.scenario == "validation" ? 6.0 : 30.0;
   if (opt.dense_sweep) cfg.scheduler = SchedulerMode::kDenseSweep;
-  cfg.regime_mode = opt.regime;
-  cfg.route_cache = opt.route_cache;
-  cfg.inbox_batch = opt.inbox_batch;
-  cfg.wake_coalesce = opt.wake_coalesce;
   GdiSimulator sim(std::move(scenario), cfg);
 
   if (!opt.restore_path.empty()) {
-    try {
-      sim.restore(opt.restore_path);
-    } catch (const std::exception& e) {
-      // restore() diagnostics are `path:byte N: why` (loader format);
-      // surface them like a compile error instead of an uncaught throw.
-      std::cerr << "gdisim_run: --restore failed\n" << e.what() << "\n";
-      return 1;
-    }
+    // restore() diagnostics are `path:byte N: why` (loader format).
+    sim.restore(opt.restore_path);
     std::cout << "restored " << opt.restore_path << " at t=" << format_sim_time(sim.now_seconds())
               << "\n";
   }
@@ -318,21 +307,6 @@ int main(int argc, char** argv) {
                                                                          : "dense-sweep")
             << ", mean active agents = " << TableReport::fmt(sched.mean_active())
             << " (occupancy " << TableReport::fmt(100.0 * sched.occupancy()) << "%)\n";
-  if (const RouteCache* rc = sim.scenario().route_cache.get()) {
-    std::cout << "route cache: " << rc->valid_template_count() << "/" << rc->template_count()
-              << " templates, " << rc->hits() << "/" << (rc->hits() + rc->misses())
-              << " stamped (hit rate " << TableReport::fmt(100.0 * rc->hit_rate())
-              << "%), rebuilds " << rc->epoch() << "\n";
-  }
-  {
-    const RegimeController::Stats rs = sim.regime().stats();
-    std::cout << "regime: " << regime_mode_name(sim.regime().policy().mode) << ", analytic "
-              << rs.analytic_now << "/" << rs.eligible << " stations, transitions +"
-              << rs.to_analytic << "/-" << rs.to_discrete << ", guard trips " << rs.guard_trips
-              << ", analytic jobs " << rs.analytic_served << "/" << rs.analytic_admitted
-              << " served (" << rs.analytic_inflight << " in flight, " << rs.bypassed_stages
-              << " stages sender-bypassed)\n";
-  }
   if (!opt.quiet && sim.loop().scheduler_mode() == SchedulerMode::kActiveSet) {
     std::vector<AgentId> order(sched.per_agent_runs.size());
     for (AgentId i = 0; i < order.size(); ++i) order[i] = i;
@@ -369,9 +343,6 @@ int main(int argc, char** argv) {
       std::cout << " " << audit::category_name(cat) << "=" << r.completed[c] << "/"
                 << r.spawned[c];
     }
-    if (r.regime_to_analytic != 0 || r.regime_to_discrete != 0) {
-      std::cout << " regime_switches=+" << r.regime_to_analytic << "/-" << r.regime_to_discrete;
-    }
     std::cout << "\n";
   }
 #endif
@@ -399,4 +370,16 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << series.size() << " series to " << opt.csv_path << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const CliOptions opt = parse(argc, argv);
+  try {
+    return run(opt);
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
 }
