@@ -21,9 +21,7 @@ Point run(double hit_rate) {
   const double horizon = bench::fast_mode() ? 6.0 * 60.0 : 12.0 * 60.0;
   opt.stop_launch_s = horizon;
   Scenario scenario = make_validation_scenario(opt);
-  SimulatorConfig cfg;
-  cfg.threads = bench::bench_threads();
-  GdiSimulator sim(std::move(scenario), cfg);
+  GdiSimulator sim(std::move(scenario));
   sim.run_for(horizon);
 
   Point p;

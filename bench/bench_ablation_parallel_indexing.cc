@@ -25,7 +25,6 @@ Point run(unsigned parallelism) {
   Scenario scenario = make_consolidated_scenario(opt);
   SimulatorConfig cfg;
   cfg.collect_every_s = 60.0;
-  cfg.threads = bench::bench_threads();
   GdiSimulator sim(std::move(scenario), cfg);
   sim.run_for(10.0 * 3600.0);
   sim.run_for(8.0 * 3600.0);

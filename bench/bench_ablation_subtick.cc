@@ -25,9 +25,7 @@ Point run(double threshold) {
   Scenario scenario = make_validation_scenario(opt);
   scenario.ctx->set_instant_fraction(threshold);
 
-  SimulatorConfig cfg;
-  cfg.threads = bench::bench_threads();
-  GdiSimulator sim(std::move(scenario), cfg);
+  GdiSimulator sim(std::move(scenario));
   bench::Stopwatch sw;
   sim.run_for(horizon);
 

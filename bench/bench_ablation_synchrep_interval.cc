@@ -23,7 +23,6 @@ Point run(double interval_s) {
   Scenario scenario = make_consolidated_scenario(opt);
   SimulatorConfig cfg;
   cfg.collect_every_s = 60.0;
-  cfg.threads = bench::bench_threads();
   GdiSimulator sim(std::move(scenario), cfg);
   sim.run_for(11.0 * 3600.0);
   sim.run_for(6.0 * 3600.0);

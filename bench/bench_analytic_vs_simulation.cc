@@ -81,7 +81,7 @@ int main() {
     const unsigned app_cores =
         scenario.dc("NA").tier(TierKind::App)->server(0).spec().cpu.total_cores() *
         static_cast<unsigned>(scenario.dc("NA").tier(TierKind::App)->server_count());
-    GdiSimulator sim(std::move(scenario), SimulatorConfig{6.0, bench::bench_threads(), 64});
+    GdiSimulator sim(std::move(scenario), SimulatorConfig{6.0});
     sim.run_for(run_s);
     const double sim_util =
         sim.collector().find("cpu/NA/app")->mean_between(run_s / 2, run_s);

@@ -24,8 +24,7 @@ TimeSeries run_experiment(int experiment, double tick_seconds, const char* label
   // stay faithful to the launcher clocks.
   scenario.tick_seconds = kValidationTickSeconds;
 
-  HDispatchEngine engine(bench::bench_threads(), 64);
-  SimulationLoop loop({scenario.tick_seconds, 0}, engine);
+  SimulationLoop loop({scenario.tick_seconds, 0});
   scenario.register_with(loop);
 
   TimeSeries series(label);

@@ -13,7 +13,6 @@ int main() {
   Scenario scenario = make_consolidated_scenario(opt);
   SimulatorConfig cfg;
   cfg.collect_every_s = 60.0;
-  cfg.threads = bench::bench_threads();
   GdiSimulator sim(std::move(scenario), cfg);
 
   const double hours = bench::fast_mode() ? 8.0 : 24.0;

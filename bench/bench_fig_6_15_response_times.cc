@@ -31,7 +31,6 @@ int main() {
   Scenario scenario = make_consolidated_scenario(opt);
   SimulatorConfig cfg;
   cfg.collect_every_s = 60.0;
-  cfg.threads = bench::bench_threads();
   GdiSimulator sim(std::move(scenario), cfg);
 
   // Cover both the NA and AUS business windows.

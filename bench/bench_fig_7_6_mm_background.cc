@@ -27,7 +27,6 @@ BgSummary run(bool multimaster, double scale) {
 
   SimulatorConfig cfg;
   cfg.collect_every_s = 60.0;
-  cfg.threads = bench::bench_threads();
   GdiSimulator sim(std::move(scenario), cfg);
   sim.run_for(10.0 * 3600.0);
   sim.run_for(8.0 * 3600.0);  // cover the peak and the post-peak backlog

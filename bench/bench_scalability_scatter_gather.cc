@@ -4,6 +4,7 @@
 // handler and pushing it through the dispatcher queue cancels the parallel
 // speedup, exactly as the thesis reports.
 #include <atomic>
+#include <thread>
 
 #include "bench_scenario_scalability.h"
 #include "bench_util.h"
@@ -15,9 +16,9 @@ namespace {
 
 double run_ticks(ExecutionEngine& engine, Tick ticks) {
   bench::ScalabilityWorld world(bench::kScalabilityAgents, engine);
-  world.loop->run_until(ticks / 10);  // warmup
+  world.run_until(ticks / 10);  // warmup
   bench::Stopwatch sw;
-  world.loop->run_until(world.loop->now() + ticks);
+  world.run_until(world.now + ticks);
   return sw.seconds();
 }
 

@@ -67,9 +67,7 @@ int main() {
       for (const auto& p : scenario.populations)
         pt.clients += static_cast<double>(p->slot_count());
 
-      SimulatorConfig cfg;
-      cfg.threads = bench::bench_threads();
-      GdiSimulator sim(std::move(scenario), cfg);
+      GdiSimulator sim(std::move(scenario));
 
       bench::Stopwatch watch;
       sim.run_for(hours * 3600.0);

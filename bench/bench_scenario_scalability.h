@@ -5,6 +5,11 @@
 // queueing work on every tick. This header builds an equivalent population:
 // queue-backed agents that are never idle, so the per-tick computation per
 // agent matches the workload regime in which Table 4.1/4.2 were measured.
+//
+// The world drives its agents through the engine under test directly: two
+// engine phases per tick (time increment, then interaction), the shape of
+// the thesis' §4.3.1 loop. Simulated scenarios run serially in
+// SimulationLoop; only these synthetic agents run on engine threads.
 #pragma once
 
 #include <memory>
@@ -12,9 +17,7 @@
 
 #include "core/agent.h"
 #include "core/engine.h"
-#include "core/sim_loop.h"
 #include "queueing/fcfs_queue.h"
-#include "queueing/fork_join.h"
 
 namespace gdisim::bench {
 
@@ -47,14 +50,23 @@ class BusyQueueAgent final : public Agent {
 
 struct ScalabilityWorld {
   std::vector<std::unique_ptr<BusyQueueAgent>> agents;
-  std::unique_ptr<SimulationLoop> loop;
+  ExecutionEngine& engine;
+  Tick now = 0;
 
-  ScalabilityWorld(std::size_t agent_count, ExecutionEngine& engine) {
-    loop = std::make_unique<SimulationLoop>(SimLoopConfig{0.001, 0}, engine);
+  ScalabilityWorld(std::size_t agent_count, ExecutionEngine& e) : engine(e) {
     agents.reserve(agent_count);
     for (std::size_t i = 0; i < agent_count; ++i) {
       agents.push_back(std::make_unique<BusyQueueAgent>());
-      loop->add_agent(agents.back().get());
+    }
+  }
+
+  /// Runs every agent's two phases per tick until `end_tick` (exclusive).
+  void run_until(Tick end_tick) {
+    for (; now < end_tick; ++now) {
+      const Tick t = now;
+      engine.for_each(agents.size(), [this, t](std::size_t i) { agents[i]->on_tick(t); });
+      engine.for_each(agents.size(),
+                      [this, t](std::size_t i) { agents[i]->on_interactions(t + 1); });
     }
   }
 };

@@ -16,9 +16,7 @@ int main() {
   opt.stop_launch_s = horizon_s;
   Scenario scenario = make_validation_scenario(opt);
 
-  SimulatorConfig cfg;
-  cfg.threads = bench::bench_threads();
-  GdiSimulator sim(std::move(scenario), cfg);
+  GdiSimulator sim(std::move(scenario));
   sim.run_for(horizon_s);
 
   struct TierInfo {

@@ -11,8 +11,7 @@ double canonical_duration_s(const std::string& op, double size_mb) {
   ValidationOptions opt;
   opt.stop_launch_s = 0.0;
   Scenario scenario = make_validation_scenario(opt);
-  HDispatchEngine engine(0, 64);
-  SimulationLoop loop({scenario.tick_seconds, 0}, engine);
+  SimulationLoop loop({scenario.tick_seconds, 0});
   scenario.register_with(loop);
 
   LaunchParams params;

@@ -25,7 +25,6 @@ RunSeries run(int experiment, std::uint64_t seed, bool add_noise) {
 
   SimulatorConfig cfg;
   cfg.collect_every_s = 6.0;
-  cfg.threads = bench::bench_threads();
   GdiSimulator sim(std::move(scenario), cfg);
   sim.run_for(horizon_s);
 

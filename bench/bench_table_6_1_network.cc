@@ -14,7 +14,6 @@ int main() {
   Scenario scenario = make_consolidated_scenario(opt);
   SimulatorConfig cfg;
   cfg.collect_every_s = 30.0;
-  cfg.threads = bench::bench_threads();
   GdiSimulator sim(std::move(scenario), cfg);
 
   sim.run_for(11.0 * 3600.0);         // warm up to just before the window

@@ -3,8 +3,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
-#include <thread>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -44,15 +44,6 @@ inline void footnote(const std::string& note) {
 inline bool fast_mode() {
   const char* v = std::getenv("GDISIM_BENCH_FAST");
   return v != nullptr && v[0] == '1';
-}
-
-/// Worker threads for benches that do not sweep thread counts themselves.
-/// Serial (0: phases run inline) by default — on the 24 h consolidated day
-/// worker threads only add barrier cost. GDISIM_BENCH_THREADS overrides.
-inline std::size_t bench_threads() {
-  const char* v = std::getenv("GDISIM_BENCH_THREADS");
-  if (v != nullptr) return static_cast<std::size_t>(std::atoi(v));
-  return 0;
 }
 
 /// Machine-readable bench results: an ordered flat map of string/number

@@ -79,7 +79,6 @@ GdiSimulator make_sim(const Variant& v) {
   std::istringstream is(text);
   Scenario scenario = load_scenario(is, "<warm-start-bench>");
   SimulatorConfig cfg;
-  cfg.threads = bench::bench_threads();
   return GdiSimulator(std::move(scenario), cfg);
 }
 

@@ -48,7 +48,7 @@ RampPoint run_point(unsigned clients) {
   scenario.populations.push_back(
       std::make_unique<ClientPopulation>(cfg, *scenario.catalog, *scenario.ctx, clock));
 
-  GdiSimulator sim(std::move(scenario), SimulatorConfig{6.0, 4, 64});
+  GdiSimulator sim(std::move(scenario), SimulatorConfig{6.0});
   sim.run_for(8.0 * 60.0);
 
   RampPoint p{};

@@ -49,7 +49,7 @@ SweepPoint run_point(unsigned app_servers) {
   scenario.populations.push_back(
       std::make_unique<ClientPopulation>(clients, *scenario.catalog, *scenario.ctx, clock));
 
-  GdiSimulator sim(std::move(scenario), SimulatorConfig{6.0, 4, 64});
+  GdiSimulator sim(std::move(scenario), SimulatorConfig{6.0});
   sim.run_for(8.0 * 60.0);
 
   SweepPoint p;

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
             << "\nSimulating " << hours << " h starting at 10:00 GMT...\n";
 
   Scenario scenario = make_consolidated_scenario(opt);
-  GdiSimulator sim(std::move(scenario), SimulatorConfig{30.0, 4, 64});
+  GdiSimulator sim(std::move(scenario), SimulatorConfig{30.0});
 
   // Warp to 10:00 GMT so the run covers the 12:00-16:00 global peak.
   sim.run_for(10.0 * 3600.0);

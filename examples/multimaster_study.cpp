@@ -27,7 +27,7 @@ StudyResult run(bool multimaster, double hours, double scale) {
   opt.scale = scale;
   Scenario scenario =
       multimaster ? make_multimaster_scenario(opt) : make_consolidated_scenario(opt);
-  GdiSimulator sim(std::move(scenario), SimulatorConfig{30.0, 4, 64});
+  GdiSimulator sim(std::move(scenario), SimulatorConfig{30.0});
   sim.run_for(11.0 * 3600.0);
   const double t0 = sim.now_seconds();
   sim.run_for(hours * 3600.0);

@@ -51,9 +51,7 @@ int main() {
       std::make_unique<ClientPopulation>(clients, *scenario.catalog, *scenario.ctx, clock));
 
   // 3. Run.
-  SimulatorConfig cfg;
-  cfg.threads = 4;
-  GdiSimulator sim(std::move(scenario), cfg);
+  GdiSimulator sim(std::move(scenario));
   std::cout << "Simulating 10 minutes of branch-office CAD work...\n";
   sim.run_for(10.0 * 60.0);
 

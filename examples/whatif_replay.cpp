@@ -47,8 +47,7 @@ ReplayResult replay_on(const WorkloadTrace& trace, unsigned app_servers, unsigne
       std::make_unique<TraceLauncher>(trace, *scenario.catalog, *scenario.ctx, clock);
   TraceLauncher* raw = launcher.get();
 
-  HDispatchEngine engine(0, 64);
-  SimulationLoop loop({scenario.tick_seconds, 0}, engine);
+  SimulationLoop loop({scenario.tick_seconds, 0});
   scenario.register_with(loop);
   loop.add_agent(raw);
 
@@ -89,8 +88,7 @@ int main() {
     cfg.seed = 23;
     auto pop = std::make_unique<ClientPopulation>(cfg, *scenario.catalog, *scenario.ctx, clock);
     pop->set_launch_recorder(trace.recorder());
-    HDispatchEngine engine(0, 64);
-    SimulationLoop loop({scenario.tick_seconds, 0}, engine);
+    SimulationLoop loop({scenario.tick_seconds, 0});
     scenario.register_with(loop);
     loop.add_agent(pop.get());
     loop.run_for_seconds(8.0 * 60.0);

@@ -45,8 +45,6 @@ class BackgroundDaemon : public Agent {
   bool completions_pending() const { return !completions_.empty(); }
 
  public:
-  void on_engine_serial(bool serial) override { completions_.set_serial(serial); }
-
  protected:
 
   /// Hook invoked (from the interaction phase) when a run completes.

@@ -49,7 +49,7 @@ void FileTracker::on_sync_complete(DcId owner, double cover_from_h, double cover
   if (owner >= per_owner_.size() || cover_to_h <= cover_from_h) return;
   StalenessDistribution& dist = per_owner_[owner];
   // Deterministic stream per (owner, window): replays identically across
-  // engines and thread counts.
+  // scheduler modes and restores.
   Rng rng = Rng(seed_).split("file-tracker").split(std::to_string(owner)).split(
       std::to_string(static_cast<long long>(cover_from_h * 3600.0)));
 

@@ -29,8 +29,8 @@ struct SnapshotCompat {
 
   /// Describes the structural shape of a built simulation: tick, master DC,
   /// every registered agent (id + name), population slot counts, probe
-  /// labels. Scheduler mode and thread count are *not* structural — a
-  /// snapshot restores across both.
+  /// labels. The scheduler mode is *not* structural — a snapshot restores
+  /// across it.
   static SnapshotCompat describe(Scenario& scenario, const SimulationLoop& loop,
                                  const Collector& collector);
 

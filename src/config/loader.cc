@@ -1,11 +1,16 @@
 #include "config/loader.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <istream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <vector>
 
 namespace gdisim {
@@ -28,20 +33,59 @@ struct Line {
   fail(line.source, line.number, why);
 }
 
+/// The whole token as a finite number: no trailing junk such as a unit
+/// suffix, no nan or inf.
 double to_double(const Line& line, std::size_t idx) {
-  try {
-    return std::stod(line.tokens.at(idx));
-  } catch (const std::exception&) {
-    fail(line, "expected a number, got '" + line.tokens.at(idx) + "'");
+  const std::string& tok = line.tokens.at(idx);
+  double v = 0.0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v)) {
+    fail(line, "expected a number, got '" + tok + "'");
   }
+  return v;
 }
 
-unsigned to_unsigned(const Line& line, std::size_t idx) {
-  const double v = to_double(line, idx);
-  if (v < 0 || v != static_cast<unsigned>(v)) {
-    fail(line, "expected a non-negative integer, got '" + line.tokens.at(idx) + "'");
+/// The whole token as a non-negative integer that fits in T.
+template <typename T>
+T to_integer(const Line& line, std::size_t idx) {
+  const std::string& tok = line.tokens.at(idx);
+  T v{};
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    fail(line, "expected a non-negative integer, got '" + tok + "'");
   }
-  return static_cast<unsigned>(v);
+  return v;
+}
+
+/// A number the directive constrains: `ok` tests it, and `rule` states the
+/// constraint in the message ("tick must be > 0, got '-1'").
+template <typename Ok>
+double checked(const Line& line, std::size_t idx, const std::string& what, const char* rule,
+               Ok ok) {
+  const double v = to_double(line, idx);
+  if (!ok(v)) fail(line, what + " must be " + rule + ", got '" + line.tokens[idx] + "'");
+  return v;
+}
+
+double positive(const Line& line, std::size_t idx, const std::string& what) {
+  return checked(line, idx, what, "> 0", [](double v) { return v > 0.0; });
+}
+
+double non_negative(const Line& line, std::size_t idx, const std::string& what) {
+  return checked(line, idx, what, ">= 0", [](double v) { return v >= 0.0; });
+}
+
+double hour_of_day(const Line& line, std::size_t idx) {
+  return checked(line, idx, "hour", "in [0, 24]", [](double v) { return v >= 0.0 && v <= 24.0; });
+}
+
+/// A count of hardware units: an integer >= 1.
+unsigned count(const Line& line, std::size_t idx, const std::string& what) {
+  const unsigned v = to_integer<unsigned>(line, idx);
+  if (v == 0) fail(line, what + " must be >= 1, got '" + line.tokens[idx] + "'");
+  return v;
 }
 
 void expect_argc(const Line& line, std::size_t n) {
@@ -115,7 +159,12 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
   std::vector<DaemonDecl> synchreps, indexbuilds;
   std::vector<GrowthDecl> growths;
   std::map<std::string, std::pair<double, double>> dc_hours;  // optional per-DC window
-  bool any_dc = false;
+  std::vector<std::string> dc_names;  // declared so far, in order
+  // (line, token index) of datacenter names resolved once parsing is done.
+  std::vector<std::pair<const Line*, std::size_t>> dc_refs;
+  auto declared = [&dc_names](const std::string& name) {
+    return std::find(dc_names.begin(), dc_names.end(), name) != dc_names.end();
+  };
 
   std::size_t i = 0;
   auto at_end = [&] { return i >= lines.size(); };
@@ -126,16 +175,16 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
 
     if (head == "tick") {
       expect_argc(line, 2);
-      tick = to_double(line, 1);
-      if (tick <= 0) fail(line, "tick must be positive, got '" + line.tokens[1] + "'");
+      tick = positive(line, 1, "tick");
       ++i;
     } else if (head == "seed") {
       expect_argc(line, 2);
-      seed = static_cast<std::uint64_t>(to_double(line, 1));
+      seed = to_integer<std::uint64_t>(line, 1);
       ++i;
     } else if (head == "master") {
       expect_argc(line, 2);
       master = line.tokens[1];
+      dc_refs.emplace_back(&line, 1);
       ++i;
     } else if (head == "datacenter") {
       expect_argc(line, 2);
@@ -152,18 +201,20 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
           break;
         } else if (key == "switch") {
           expect_argc(sub, 2);
-          bp.switch_gbps = to_double(sub, 1);
+          bp.switch_gbps = positive(sub, 1, "switch bandwidth");
         } else if (key == "san") {
           expect_argc(sub, 4);
-          bp.san = SanNotation{to_unsigned(sub, 1), to_unsigned(sub, 2), to_double(sub, 3)};
+          bp.san = SanNotation{count(sub, 1, "san controllers"), count(sub, 2, "san disks"),
+                               positive(sub, 3, "san rpm")};
         } else if (key == "tier") {
           expect_argc(sub, 5);
           const TierKind kind = parse_tier_kind(sub, sub.tokens[1]);
-          bp.tiers[kind] =
-              TierNotation{to_unsigned(sub, 2), to_unsigned(sub, 3), to_double(sub, 4)};
+          bp.tiers[kind] = TierNotation{count(sub, 2, "tier servers"), count(sub, 3, "tier cores"),
+                                        positive(sub, 4, "tier memory")};
         } else if (key == "tier_link") {
           expect_argc(sub, 3);
-          bp.tier_link = LinkNotation{to_double(sub, 1), to_double(sub, 2), 1.0};
+          bp.tier_link = LinkNotation{positive(sub, 1, "tier_link bandwidth"),
+                                      non_negative(sub, 2, "tier_link latency"), 1.0};
         } else {
           fail(sub, "unknown datacenter directive '" + key + "'");
         }
@@ -171,15 +222,24 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
       }
       if (!closed) fail(line, "datacenter block not closed with 'end'");
       builder.add_datacenter(bp);
-      any_dc = true;
+      dc_names.push_back(bp.name);
     } else if (head == "link" || head == "backup_link") {
       if (line.tokens.size() < 5 || line.tokens.size() > 6) {
         fail(line, "expected: link <a> <b> <gbps> <latency_ms> [alloc]");
       }
+      for (std::size_t side = 1; side <= 2; ++side) {
+        if (!declared(line.tokens[side])) {
+          fail(line, head + " references unknown datacenter '" + line.tokens[side] + "'");
+        }
+      }
       LinkNotation ln;
-      ln.gbps = to_double(line, 3);
-      ln.latency_ms = to_double(line, 4);
-      ln.allocated_fraction = line.tokens.size() == 6 ? to_double(line, 5) : 1.0;
+      ln.gbps = positive(line, 3, head + " bandwidth");
+      ln.latency_ms = non_negative(line, 4, head + " latency");
+      ln.allocated_fraction =
+          line.tokens.size() == 6
+              ? checked(line, 5, head + " allocation", "in (0, 1]",
+                        [](double v) { return v > 0.0 && v <= 1.0; })
+              : 1.0;
       builder.connect_duplex(line.tokens[1], line.tokens[2], ln, head == "link");
       ++i;
     } else if (head == "population") {
@@ -190,7 +250,7 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
       decl.cfg.seed = seed;
       decl.dc_name = line.tokens[2];
       decl.app = line.tokens[3];
-      decl.peak = to_double(line, 4);
+      decl.peak = positive(line, 4, "population peak");
       decl.cfg.think_time_mean_s = 30.0;
       decl.cfg.file_size_mb = 25.0;
       populations.push_back(decl);
@@ -203,13 +263,13 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
           break;
         } else if (key == "hours") {
           expect_argc(sub, 3);
-          populations.back().hours = {to_double(sub, 1), to_double(sub, 2)};
+          populations.back().hours = {hour_of_day(sub, 1), hour_of_day(sub, 2)};
         } else if (key == "think") {
           expect_argc(sub, 2);
-          populations.back().cfg.think_time_mean_s = to_double(sub, 1);
+          populations.back().cfg.think_time_mean_s = non_negative(sub, 1, "think time");
         } else if (key == "size") {
           expect_argc(sub, 2);
-          populations.back().cfg.file_size_mb = to_double(sub, 1);
+          populations.back().cfg.file_size_mb = non_negative(sub, 1, "file size");
         } else {
           fail(sub, "unknown population directive '" + key + "'");
         }
@@ -217,8 +277,13 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
       }
     } else if (head == "synchrep" || head == "indexbuild") {
       expect_argc(line, 3);
-      DaemonDecl decl{line.tokens[1], to_double(line, 2), line.number};
-      (head == "synchrep" ? synchreps : indexbuilds).push_back(decl);
+      const bool synchrep = head == "synchrep";
+      DaemonDecl decl{line.tokens[1],
+                      synchrep ? positive(line, 2, "synchrep interval")
+                               : non_negative(line, 2, "indexbuild delay"),
+                      line.number};
+      (synchrep ? synchreps : indexbuilds).push_back(decl);
+      dc_refs.emplace_back(&line, 1);
       ++i;
     } else if (head == "growth") {
       if (line.tokens.size() != 3 && line.tokens.size() != 5) {
@@ -226,16 +291,22 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
       }
       GrowthDecl decl;
       decl.dc = line.tokens[1];
-      decl.peak_mb_per_hour = to_double(line, 2);
-      if (line.tokens.size() == 5) decl.hours = {to_double(line, 3), to_double(line, 4)};
+      decl.peak_mb_per_hour = non_negative(line, 2, "growth rate");
+      if (line.tokens.size() == 5) decl.hours = {hour_of_day(line, 3), hour_of_day(line, 4)};
       growths.push_back(decl);
+      dc_refs.emplace_back(&line, 1);
       ++i;
     } else {
       fail(line, "unknown directive '" + head + "'");
     }
   }
 
-  if (!any_dc) throw std::invalid_argument(source + ": no datacenter defined");
+  if (dc_names.empty()) throw std::invalid_argument(source + ": no datacenter defined");
+  for (const auto& [ref, idx] : dc_refs) {
+    if (!declared(ref->tokens[idx])) {
+      fail(*ref, ref->tokens[0] + " references unknown datacenter '" + ref->tokens[idx] + "'");
+    }
+  }
 
   Scenario s;
   s.tick_seconds = tick;

@@ -30,6 +30,9 @@
 //   growth HQ 2000           # peak MB/h (business-hours shaped)
 //
 // Unknown directives are errors (typos should not silently change runs).
+// Numbers are whole tokens and finite ("0.02s", "nan" and "inf" are errors),
+// counts and the seed are non-negative integers, and every value is
+// range-checked where it is read; each error reads `file:line: ... 'token'`.
 #pragma once
 
 #include <iosfwd>

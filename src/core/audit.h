@@ -4,15 +4,15 @@
 // conservation claims rest on: every job spawned is eventually completed
 // (spawned = completed + live), work amounts and occupancies never go
 // negative, each agent observes a strictly increasing tick clock, and the
-// multiset of inbox drains folds into a thread-schedule-independent hash
-// that must match across engines and thread counts.
+// multiset of inbox drains folds into an order-independent hash that must
+// match across scheduler modes.
 //
 // The auditor is enabled by the GDISIM_AUDIT compile definition (CMake
 // option GDISIM_AUDIT / the `audit` preset). In release builds every
 // GDISIM_AUDIT_* macro expands to `((void)0)` and no auditor state exists,
-// so the hooks are zero-cost. All counters are process-global atomics:
-// instrumentation sites are spread across worker threads, and the checks
-// only need monotone counts, not per-component attribution.
+// so the hooks are zero-cost. All counters are process-global atomics: the
+// queues they instrument also run on the Ch. 4 engine threads, and the
+// checks only need monotone counts, not per-component attribution.
 //
 // Failure policy: a tripped invariant calls the installed failure handler
 // with a description. The default handler prints the message and aborts;
@@ -42,9 +42,9 @@ struct Report {
   std::uint64_t spawned[static_cast<unsigned>(Category::kCount)] = {};
   std::uint64_t completed[static_cast<unsigned>(Category::kCount)] = {};
   /// Commutative (xor-folded) hash over every inbox drain. Equal multisets
-  /// of drains produce equal hashes regardless of thread schedule, so two
-  /// runs of the same workload must report the same value at the same tick
-  /// whatever the engine or thread count.
+  /// of drains produce equal hashes regardless of drain order, so two runs
+  /// of the same workload must report the same value at the same tick
+  /// whatever the scheduler mode.
   std::uint64_t drain_hash = 0;
   /// Invariant violations observed (nonzero only when a non-aborting
   /// failure handler is installed).
@@ -62,16 +62,6 @@ using FailureHandler = void (*)(const char* message);
 #define GDISIM_AUDIT_ENABLED 1
 #else
 #define GDISIM_AUDIT_ENABLED 0
-#endif
-
-// The engine-serial fast-path guard (Inbox: serial mode must only ever be
-// exercised from the thread that enabled it) is active whenever the auditor
-// is — trips route through the replaceable failure handler — and in plain
-// debug builds, where it downgrades to assert.
-#if GDISIM_AUDIT_ENABLED || !defined(NDEBUG)
-#define GDISIM_SERIAL_GUARD_ENABLED 1
-#else
-#define GDISIM_SERIAL_GUARD_ENABLED 0
 #endif
 
 #if GDISIM_AUDIT_ENABLED

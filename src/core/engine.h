@@ -1,7 +1,8 @@
-// Execution engines: strategies for running one phase of agent work.
-//
-// The simulation loop is engine-agnostic; an engine's only job is to apply a
-// function to indices [0, count) with some parallelization strategy. Three
+// Execution engines: strategies for running one phase of agent work (thesis
+// Ch. 4). An engine's only job is to apply a function to indices [0, count)
+// with some parallelization strategy. SimulationLoop does not use them —
+// scenario runs are serial — but the Ch. 4 scalability benches drive their
+// synthetic agents through them (bench/bench_scenario_scalability.h). Three
 // engines are provided:
 //   * SerialEngine         — plain loop (reference semantics)
 //   * ScatterGatherEngine  — one dispatcher work item per agent (thesis
@@ -10,8 +11,9 @@
 //   * HDispatchEngine      — fixed worker pool pulling agent *sets* from a
 //                            shared queue (thesis §4.3.5; scales, reproduced
 //                            by bench_scalability_h_dispatch)
-// All engines must produce identical simulation results; only wall-clock
-// performance differs (tested in tests/core/engine_equivalence_test.cc).
+// Every engine visits each index exactly once per phase and returns only
+// when the phase is done; only wall-clock performance differs (tested in
+// tests/core/engine_test.cc).
 #pragma once
 
 #include <cstddef>
@@ -29,19 +31,12 @@ class ExecutionEngine {
   /// `fn` must be safe to call concurrently for distinct indices.
   virtual void for_each(std::size_t count, const std::function<void(std::size_t)>& fn) = 0;
 
-  /// True when for_each runs entirely inline on the caller's thread. Lets
-  /// the simulation loop skip the std::function indirection (one virtual
-  /// dispatch per agent per phase — measurable at hundreds of millions of
-  /// agent-phases per run) and loop directly.
-  virtual bool serial() const { return false; }
-
   virtual std::string_view name() const = 0;
 };
 
 class SerialEngine final : public ExecutionEngine {
  public:
   void for_each(std::size_t count, const std::function<void(std::size_t)>& fn) override;
-  bool serial() const override { return true; }
   std::string_view name() const override { return "serial"; }
 };
 

@@ -31,7 +31,6 @@ class HDispatchEngine final : public ExecutionEngine {
   ~HDispatchEngine() override;
 
   void for_each(std::size_t count, const std::function<void(std::size_t)>& fn) override;
-  bool serial() const override { return workers_.empty(); }
   std::string_view name() const override { return "h-dispatch"; }
 
   std::size_t agent_set_size() const { return agent_set_size_; }

@@ -1,7 +1,7 @@
 // Deterministic, splittable random number generation.
 //
-// GDISim guarantees bit-identical results regardless of execution engine or
-// thread count (DESIGN.md §4). Every stochastic decision therefore draws from
+// GDISim guarantees bit-identical results regardless of scheduler mode or
+// checkpoint/restore (DESIGN.md §4). Every stochastic decision draws from
 // a stream derived deterministically from the run seed plus a stable purpose
 // string, never from shared mutable RNG state.
 #pragma once

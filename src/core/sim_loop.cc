@@ -15,20 +15,16 @@ AgentId SimulationLoop::add_agent(Agent* agent) {
   agents_.push_back(agent);
   if (active_mode_) {
     agent->bind_wake_scheduler(this);
-    if (wake_flag_count_ == wake_flag_cap_) {
-      const std::size_t cap = wake_flag_cap_ == 0 ? 64 : wake_flag_cap_ * 2;
-      auto grown = std::make_unique<std::atomic<bool>[]>(cap);
-      for (std::size_t i = 0; i < wake_flag_count_; ++i) {
-        grown[i].store(wake_flag_[i].load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-      }
-      wake_flag_ = std::move(grown);
-      wake_flag_cap_ = cap;
+    // Starts set: the agent is scheduled (immediate_) for its first
+    // iteration, so setup-time posts need not wake it. Each agent holds a
+    // pointer to its own flag, so a reallocation rebinds them all.
+    const char* flags_before = wake_flag_.data();
+    wake_flag_.push_back(1);
+    if (wake_flag_.data() == flags_before) {
+      agent->set_wake_hint(&wake_flag_.back());
+    } else {
+      for (AgentId a = 0; a <= id; ++a) agents_[a]->set_wake_hint(&wake_flag_[a]);
     }
-    // Starts true: the agent is scheduled (immediate_) for its first
-    // iteration, so setup-time posts need no shard push.
-    wake_flag_[wake_flag_count_].store(true, std::memory_order_relaxed);
-    ++wake_flag_count_;
     epoch_mark_.push_back(0);
     in_always_.push_back(0);
     calendar_.ensure_agents(agents_.size());
@@ -36,71 +32,40 @@ AgentId SimulationLoop::add_agent(Agent* agent) {
     // its own next_wake_tick answer takes over from there.
     immediate_.push_back(id);
   }
-  if (serial_hint_state_ == 1) agent->on_engine_serial(true);
   stats_.agents = agents_.size();
   stats_.per_agent_runs.push_back(0);
   return id;
 }
 
 void SimulationLoop::wake(AgentId id) {
-  if (id >= wake_flag_count_) return;
-  std::atomic<bool>& flag = wake_flag_[id];
-  // Test-and-test-and-set. The flag means "a wake would be redundant": the
-  // agent is pending in a woken shard, admitted to the current iteration, or
-  // already scheduled in immediate_ — in every case it runs an interaction
-  // phase at the earliest tick a delivery could require, and rearm_active
-  // re-queries its wake time after the barrier before parking it.
-  if (flag.load(std::memory_order_relaxed)) return;
-  if (engine_serial_) {
-    // Only the master posts: no contention, so the shard lock and the atomic
-    // read-modify-writes reduce to plain operations.
-    flag.store(true, std::memory_order_relaxed);
-    woken_[0].ids.push_back(id);
-    woken_pending_.store(woken_pending_.load(std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
-    return;
-  }
-  if (flag.exchange(true, std::memory_order_acq_rel)) return;
-  WokenShard& s = woken_[this_thread_shard() & (kWokenShards - 1)];
-  s.lock.lock();
-  s.ids.push_back(id);
-  s.lock.unlock();
-  woken_pending_.fetch_add(1, std::memory_order_release);
+  // The flag means "a wake would be redundant": the agent is pending in
+  // woken_, admitted to the current iteration, or already scheduled in
+  // immediate_ — in every case it runs an interaction phase at the earliest
+  // tick a delivery could require, and rearm_active re-queries its wake time
+  // before parking it.
+  if (id >= wake_flag_.size() || wake_flag_[id] != 0) return;
+  wake_flag_[id] = 1;
+  woken_.push_back(id);
 }
 
 void SimulationLoop::admit(AgentId id) {
   if (epoch_mark_[id] == epoch_) return;
   epoch_mark_[id] = epoch_;
   // Admitted agents need no delivery wakes until rearm_active decides
-  // otherwise; the flag suppresses the per-post shard traffic.
-  wake_flag_[id].store(true, std::memory_order_relaxed);
+  // otherwise.
+  wake_flag_[id] = 1;
   active_.push_back(id);
 }
 
 void SimulationLoop::drain_woken() {
-  // Master-only, called at phase barriers: the engine handshake guarantees
-  // no worker is still posting, so the flags can be cleared without racing
-  // a concurrent wake() — which also makes the fast path exact, not racy.
-  if (woken_pending_.load(std::memory_order_acquire) == 0) return;
-  woken_pending_.store(0, std::memory_order_relaxed);
-  woken_scratch_.clear();
-  if (engine_serial_) {
-    // Serial wakes all land in shard 0 (see wake()); no locks to take.
-    woken_scratch_.swap(woken_[0].ids);
-    woken_[0].ids.clear();
-  } else {
-    for (WokenShard& s : woken_) {
-      s.lock.lock();
-      woken_scratch_.insert(woken_scratch_.end(), s.ids.begin(), s.ids.end());
-      s.ids.clear();
-      s.lock.unlock();
-    }
-  }
-  // Shard assignment depends on thread identity; sorting makes the admission
-  // order reproducible. Flags stay set: the agents are active now, and
-  // rearm_active clears the flag if and when it parks them.
-  std::sort(woken_scratch_.begin(), woken_scratch_.end());
-  for (AgentId id : woken_scratch_) admit(id);
+  if (woken_.empty()) return;
+  // Admission order decides the order in which agents run their phases, so
+  // it follows agent ids, not the order of the posts. Flags stay set: the
+  // agents are active now, and rearm_active clears the flag if and when it
+  // parks them.
+  std::sort(woken_.begin(), woken_.end());
+  for (AgentId id : woken_) admit(id);
+  woken_.clear();
 }
 
 void SimulationLoop::maybe_collect(Tick now) {
@@ -113,14 +78,14 @@ void SimulationLoop::step_dense(Tick now) {
   const std::size_t n = agents_.size();
 
   // 1. Time increment control signals.
-  run_phase(n, [this, now](std::size_t i) {
+  for (std::size_t i = 0; i < n; ++i) {
     GDISIM_AUDIT_AGENT_TICK(agents_[i], now);
     agents_[i]->on_tick(now);
-  });
+  }
 
   // 2. Agent interaction step: absorb everything that became visible during
   //    this tick (visible_at <= now + 1).
-  run_phase(n, [this, now](std::size_t i) { agents_[i]->on_interactions(now + 1); });
+  for (std::size_t i = 0; i < n; ++i) agents_[i]->on_interactions(now + 1);
 
   stats_.agent_phase_runs += n;
   stats_.last_active = n;
@@ -146,10 +111,10 @@ void SimulationLoop::step_active(Tick now) {
 
   // 1. Time increment control signals for the active set.
   const std::size_t n_tick = active_.size();
-  run_phase(n_tick, [this, now](std::size_t i) {
+  for (std::size_t i = 0; i < n_tick; ++i) {
     GDISIM_AUDIT_AGENT_TICK(agents_[active_[i]], now);
     agents_[active_[i]]->on_tick(now);
-  });
+  }
 
   // Deliveries posted during the tick phase carry visible_at == now + 1 and
   // must be absorbed in *this* iteration's interaction phase (consistency
@@ -157,14 +122,14 @@ void SimulationLoop::step_active(Tick now) {
   drain_woken();
 
   // 2. Interaction step; each agent also reports its next wake time, which
-  //    the master files after the barrier.
+  //    rearm_active files once the phase is over.
   const std::size_t n_inter = active_.size();
   rearm_.resize(n_inter);
-  run_phase(n_inter, [this, now](std::size_t i) {
+  for (std::size_t i = 0; i < n_inter; ++i) {
     Agent* a = agents_[active_[i]];
     a->on_interactions(now + 1);
     rearm_[i] = a->next_wake_tick(now + 1);
-  });
+  }
 
   stats_.agent_phase_runs += n_inter;
   stats_.last_active = n_inter;
@@ -195,20 +160,20 @@ void SimulationLoop::rearm_active(Tick now) {
       always_active_.erase(std::find(always_active_.begin(), always_active_.end(), id));
     }
     if (at > next) {
-      // The worker computed rearm_[i] mid-phase; posts that landed after it
-      // (same interaction phase, or the collection callback) were suppressed
-      // by the still-set wake flag. All posters have passed the barrier, so
-      // one authoritative re-query closes that window before the agent is
+      // rearm_[i] was computed mid-phase; posts that landed after it (later
+      // in the same interaction phase, or from the collection callback) were
+      // suppressed by the still-set wake flag. The phase is over, so one
+      // authoritative re-query closes that window before the agent is
       // parked or calendar-armed.
       at = agents_[id]->next_wake_tick(next);
     }
     if (at <= next) {
       immediate_.push_back(id);  // flag stays set: already scheduled
     } else if (at == kNeverTick) {
-      wake_flag_[id].store(false, std::memory_order_relaxed);
+      wake_flag_[id] = 0;
     } else {
       // Calendar naps must remain interruptible by deliveries.
-      wake_flag_[id].store(false, std::memory_order_relaxed);
+      wake_flag_[id] = 0;
       calendar_.arm(id, at, next);
     }
   }
@@ -216,25 +181,8 @@ void SimulationLoop::rearm_active(Tick now) {
 
 void SimulationLoop::step() {
   const Tick now = now_;
-  engine_serial_ = engine_->serial();
-  // Bind (or rebind after a set_engine swap) the engine-mode hint: under a
-  // serial engine, inboxes drop their cross-thread synchronization. Checked
-  // every step so the hint can never be stale for the phases that follow.
-  const int serial_now = engine_serial_ ? 1 : 0;
-  if (serial_hint_state_ != serial_now) {
-    for (Agent* agent : agents_) agent->on_engine_serial(engine_serial_);
-    serial_hint_state_ = serial_now;
-  }
-  if (active_mode_ && !hints_bound_) {
-    // The flag array no longer reallocates (agents register before the run
-    // starts), so each agent can keep a direct pointer to its flag.
-    for (AgentId id = 0; id < static_cast<AgentId>(agents_.size()); ++id) {
-      agents_[id]->set_wake_hint(&wake_flag_[id]);
-    }
-    hints_bound_ = true;
-  }
 
-  // 0. Single-threaded pre-tick hooks (failure events, route updates, ...).
+  // 0. Pre-tick hooks (failure events, route updates, ...).
   for (auto& hook : pre_tick_hooks_) hook(now);
 
   if (active_mode_) {
@@ -279,17 +227,9 @@ void SimulationLoop::archive_state(StateArchive& ar) {
     immediate_.clear();
     calendar_ = WakeCalendar(calendar_.wheel_slots());
     calendar_.ensure_agents(agents_.size());
-    for (WokenShard& s : woken_) {
-      s.lock.lock();
-      s.ids.clear();
-      s.lock.unlock();
-    }
-    woken_pending_.store(0, std::memory_order_relaxed);
-    woken_scratch_.clear();
-    for (AgentId id = 0; id < static_cast<AgentId>(agents_.size()); ++id) {
-      wake_flag_[id].store(true, std::memory_order_relaxed);
-      immediate_.push_back(id);
-    }
+    woken_.clear();
+    std::fill(wake_flag_.begin(), wake_flag_.end(), 1);
+    for (AgentId id = 0; id < static_cast<AgentId>(agents_.size()); ++id) immediate_.push_back(id);
   }
 }
 

@@ -20,17 +20,16 @@
 // calendar wakes reported via Agent::next_wake_tick, and agents woken by a
 // delivery posted to their inbox. kDenseSweep restores the original
 // run-everyone-every-tick loop and serves as the reference-run oracle.
+//
+// Every phase runs inline on the calling thread (DESIGN.md "Concurrency
+// model"); the Ch. 4 execution engines drive their own synthetic agents.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/agent.h"
-#include "core/engine.h"
 #include "core/types.h"
 #include "core/wake_calendar.h"
 
@@ -73,10 +72,9 @@ struct SchedulerStats {
 
 class SimulationLoop : public AgentWakeScheduler {
  public:
-  SimulationLoop(SimLoopConfig config, ExecutionEngine& engine)
+  explicit SimulationLoop(SimLoopConfig config)
       : config_(config),
         clock_(config.tick_seconds),
-        engine_(&engine),
         active_mode_(config.scheduler == SchedulerMode::kActiveSet) {}
 
   /// Registers an agent (non-owning) and assigns its dense id. Under the
@@ -103,8 +101,8 @@ class SimulationLoop : public AgentWakeScheduler {
     return active_mode_ ? SchedulerMode::kActiveSet : SchedulerMode::kDenseSweep;
   }
 
-  /// Thread-safe (AgentWakeScheduler): ensures the agent participates in the
-  /// next phase. Posting to a bound Inbox calls this automatically.
+  /// AgentWakeScheduler: ensures the agent participates in the next phase.
+  /// Posting to a bound Inbox calls this automatically.
   void wake(AgentId id) override;
 
   const SchedulerStats& scheduler_stats() const { return stats_; }
@@ -118,19 +116,16 @@ class SimulationLoop : public AgentWakeScheduler {
   /// Component). Invoked with the tick at which the sample is taken.
   void set_collect_callback(std::function<void(Tick)> cb) { collect_cb_ = std::move(cb); }
 
-  /// Pre-tick hooks run single-threaded at the start of each iteration,
-  /// before any agent phase — the safe place to mutate shared state such as
-  /// routing tables (used by the failure injector).
+  /// Pre-tick hooks run at the start of each iteration, before any agent
+  /// phase — the place to mutate shared state such as routing tables (used
+  /// by the failure injector).
   void add_pre_tick_hook(std::function<void(Tick)> hook) {
     pre_tick_hooks_.push_back(std::move(hook));
   }
 
-  ExecutionEngine& engine() { return *engine_; }
-  void set_engine(ExecutionEngine& engine) { engine_ = &engine; }
-
   /// Snapshot round trip of the loop's own state: the clock position and the
   /// scheduler statistics. Active-set bookkeeping (calendar, wake flags,
-  /// shards) is deliberately *not* serialized — on read every agent is
+  /// woken ids) is deliberately *not* serialized — on read every agent is
   /// re-marked immediate, which is result-neutral: each agent's own
   /// next_wake_tick answer takes over after one iteration, exactly like the
   /// post-registration warm-up.
@@ -144,38 +139,20 @@ class SimulationLoop : public AgentWakeScheduler {
   void rearm_active(Tick now);
   void maybe_collect(Tick now);
 
-  /// Runs one phase body over [0, n). When the engine executes inline this
-  /// skips the std::function indirection entirely — one indirect call per
-  /// agent per phase adds up to hundreds of millions per run.
-  template <typename F>
-  void run_phase(std::size_t n, F&& f) {
-    if (engine_serial_) {
-      for (std::size_t i = 0; i < n; ++i) f(i);
-    } else {
-      engine_->for_each(n, std::forward<F>(f));
-    }
-  }
-
   SimLoopConfig config_;  // ARCHIVE-TRANSIENT: construction-time configuration
   TickClock clock_;  // ARCHIVE-TRANSIENT: construction-time configuration
-  ExecutionEngine* engine_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
   std::vector<Agent*> agents_;
   std::function<void(Tick)> collect_cb_;  // ARCHIVE-TRANSIENT: construction-time wiring
   std::vector<std::function<void(Tick)>> pre_tick_hooks_;  // ARCHIVE-TRANSIENT: construction-time wiring
   Tick now_ = 0;
   bool active_mode_;
-  bool engine_serial_ = false;  // ARCHIVE-TRANSIENT: derived from the engine at construction
-  /// -1 until the first step binds the engine-mode hint to every agent;
-  /// then 0/1 mirroring engine_serial_ so a set_engine swap rebinds.
-  int serial_hint_state_ = -1;  // ARCHIVE-TRANSIENT: engine wiring, rebound each run
-  bool hints_bound_ = false;  // ARCHIVE-TRANSIENT: wiring flag; hints rebind on restore
 
-  // --- Active-set scheduler state (master-only except where noted). ---
+  // --- Active-set scheduler state. ---
   /// Ids whose phases run this iteration; grows mid-iteration when tick-phase
   /// deliveries wake their recipients for the interaction phase.
   std::vector<AgentId> active_;
   /// next_wake_tick answers gathered during the interaction phase (indexed
-  /// like active_; each slot written by exactly one worker).
+  /// like active_).
   std::vector<Tick> rearm_;  // ARCHIVE-TRANSIENT: active-set scratch; restore re-wakes every agent
   /// Agents that answered kEveryTick — sticky members of every active set.
   std::vector<AgentId> always_active_;
@@ -187,24 +164,12 @@ class SimulationLoop : public AgentWakeScheduler {
   std::vector<std::uint64_t> epoch_mark_;  // ARCHIVE-TRANSIENT: per-iteration dedup; restore re-wakes every agent
   std::uint64_t epoch_ = 0;  // ARCHIVE-TRANSIENT: per-iteration dedup; restore re-wakes every agent
 
-  // Cross-thread wake path: a per-agent flag dedups requests (cleared by the
-  // master when the wake is consumed at a barrier), sharded id lists absorb
-  // the surviving pushes. Safe for any thread; merged only at barriers. The
-  // flags live in a flat array (reallocated only in add_agent, which is
-  // master-only and pre-run) because wake() is called once per delivery.
-  std::unique_ptr<std::atomic<bool>[]> wake_flag_;
-  std::size_t wake_flag_count_ = 0;  // ARCHIVE-TRANSIENT: flag-array bookkeeping sized pre-run
-  std::size_t wake_flag_cap_ = 0;  // ARCHIVE-TRANSIENT: flag-array bookkeeping sized pre-run
-  /// Number of ids sitting in the woken shards; lets drain_woken skip the
-  /// shard sweep (16 lock round-trips) on quiet iterations.
-  std::atomic<std::size_t> woken_pending_{0};
-  static constexpr std::size_t kWokenShards = 8;
-  struct alignas(64) WokenShard {
-    SpinLock lock;
-    std::vector<AgentId> ids;
-  };
-  std::array<WokenShard, kWokenShards> woken_;
-  std::vector<AgentId> woken_scratch_;
+  // Delivery wakes: a per-agent flag dedups requests (cleared when
+  // rearm_active parks the agent; each agent also holds a pointer to its
+  // flag as a wake hint), and the ids of newly woken agents wait in woken_
+  // until the next drain_woken admits them in id order.
+  std::vector<char> wake_flag_;
+  std::vector<AgentId> woken_;
 
   SchedulerStats stats_;
   double window_active_accum_ = 0.0;

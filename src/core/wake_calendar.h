@@ -7,9 +7,8 @@
 // tick because the loop visits every tick in order. Entries are lazy: the
 // authoritative arm time lives in armed_[id], so re-arming an agent simply
 // overwrites it and stale wheel/heap entries are dropped (or re-filed, when
-// the agent was re-armed for a later tick) as their slot comes due. All
-// calls are master-only; cross-thread wakes go through the loop's woken
-// lists, not the calendar.
+// the agent was re-armed for a later tick) as their slot comes due.
+// Delivery wakes go through the loop's woken list, not the calendar.
 #pragma once
 
 #include <cstddef>

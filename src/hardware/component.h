@@ -2,7 +2,7 @@
 //
 // A component is a low-level hardware element (CPU, NIC, link, RAID, ...)
 // modeled as a queue or network of queues (thesis §3.4.2). Stage jobs are
-// submitted through a thread-safe, deterministic inbox; the interaction
+// submitted through a deterministic inbox; the interaction
 // phase absorbs them into the discipline queue and the tick phase serves
 // them. Completions are reported synchronously to the stage handler, which
 // routes the in-flight message to its next component.
@@ -19,7 +19,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -112,8 +111,8 @@ class Component : public Agent {
  public:
   Component() { inbox_.bind_owner(this); }
 
-  /// Thread-safe submission; the job becomes serviceable at `visible_at`.
-  /// (sender, seq) make the inbox drain order deterministic.
+  /// Submission; the job becomes serviceable at `visible_at`. (sender, seq)
+  /// make the inbox drain order deterministic.
   void submit(Tick visible_at, AgentId sender, std::uint64_t seq, StageJob job) {
     inbox_.post(visible_at, sender, seq, job);
   }
@@ -124,18 +123,14 @@ class Component : public Agent {
     for (auto& d : drain_scratch_) accept(d.payload);
   }
 
-  void on_engine_serial(bool serial) override { inbox_.set_serial(serial); }
-
   void on_tick(Tick now) final {
     GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kQueueing);
-    // Load-then-store beats an unconditional exchange here: the bucket is
-    // almost always zero, and any writer during tick `now` targets the
-    // *other* parity bucket, so the non-atomic-looking sequence cannot lose
-    // an update.
-    std::atomic<double>& bucket = instant_buckets_[static_cast<std::size_t>(now) & 1];
-    const double instant = bucket.load(std::memory_order_relaxed);
+    // Any accounting during tick `now` targets the *other* parity bucket,
+    // so this one holds exactly the work accounted at tick now - 1.
+    double& bucket = instant_buckets_[static_cast<std::size_t>(now) & 1];
+    const double instant = bucket;
     if (instant != 0.0) {
-      bucket.store(0.0, std::memory_order_relaxed);
+      bucket = 0.0;
       const double cap = capacity_per_second() * tick_seconds_;
       instant_fraction_ = cap > 0.0 ? instant / cap : 0.0;
     } else {
@@ -170,16 +165,15 @@ class Component : public Agent {
   }
 
   /// Records work served "instantly" (below the sub-tick threshold) at tick
-  /// `now`. Thread-safe; callable from any worker during routing. The work
-  /// is folded into utilization at tick now + 1 regardless of how the
-  /// accounting interleaves with this component's own tick phase — two
-  /// buckets indexed by tick parity separate "accumulating" from "folding",
-  /// which makes utilization attribution deterministic under any thread
-  /// schedule and identical between scheduler modes.
+  /// `now`, from any agent's phase during routing. The work is folded into
+  /// utilization at tick now + 1 whether the accounting agent runs before or
+  /// after this component within the tick — two buckets indexed by tick
+  /// parity separate "accumulating" from "folding", which keeps utilization
+  /// attribution independent of agent order and identical between scheduler
+  /// modes.
   void account_instant(double work, Tick now) {
     GDISIM_AUDIT_NONNEG(work, "Component: negative instant work accounted");
-    instant_buckets_[static_cast<std::size_t>(now + 1) & 1].fetch_add(
-        work, std::memory_order_relaxed);
+    instant_buckets_[static_cast<std::size_t>(now + 1) & 1] += work;
     request_wake();
   }
 
@@ -192,9 +186,8 @@ class Component : public Agent {
   /// only the stale instantaneous utilization() value lingers, and nothing
   /// in the simulator probes it between wakes.
   Tick next_wake_tick(Tick next_now) const override {
-    if (queue_length() > 0 || !inbox_.empty() ||
-        instant_buckets_[0].load(std::memory_order_relaxed) != 0.0 ||
-        instant_buckets_[1].load(std::memory_order_relaxed) != 0.0) {
+    if (queue_length() > 0 || !inbox_.empty() || instant_buckets_[0] != 0.0 ||
+        instant_buckets_[1] != 0.0) {
       return next_now;
     }
     return kNeverTick;
@@ -219,14 +212,8 @@ class Component : public Agent {
     inbox_.archive_state(ar, [&reg](StateArchive& a, StageJob& job) {
       archive_stage_job(a, reg, job);
     });
-    double b0 = instant_buckets_[0].load(std::memory_order_relaxed);
-    double b1 = instant_buckets_[1].load(std::memory_order_relaxed);
-    ar.f64(b0);
-    ar.f64(b1);
-    if (ar.reading()) {
-      instant_buckets_[0].store(b0, std::memory_order_relaxed);
-      instant_buckets_[1].store(b1, std::memory_order_relaxed);
-    }
+    ar.f64(instant_buckets_[0]);
+    ar.f64(instant_buckets_[1]);
     ar.f64(instant_fraction_);
     ar.f64(window_accum_);
     ar.i64(window_start_tick_);
@@ -252,10 +239,8 @@ class Component : public Agent {
   std::vector<Delivery<StageJob>> drain_scratch_;  // ARCHIVE-TRANSIENT: per-tick scratch; empty between ticks
   double tick_seconds_ = 0.0;  // ARCHIVE-TRANSIENT: clock configuration fixed at construction
   /// Tick-parity double buffer: work accounted at tick t lands in bucket
-  /// (t+1)&1 and is folded by on_tick(t+1), which reads bucket (t+1)&1. The
-  /// phase barrier separates all writers of a bucket from its reader.
-  // GDISIM-SHARED: cross-agent work accounting; tick-parity buffering splits writers/reader
-  std::atomic<double> instant_buckets_[2] = {0.0, 0.0};
+  /// (t+1)&1 and is folded by on_tick(t+1), which reads bucket (t+1)&1.
+  double instant_buckets_[2] = {0.0, 0.0};
   double instant_fraction_ = 0.0;
   double window_accum_ = 0.0;
   Tick window_start_tick_ = 0;

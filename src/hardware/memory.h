@@ -3,15 +3,14 @@
 // Memory is the one component *not* modeled as a queue. It addresses two
 // effects: (1) cache hits bypass the I/O queues entirely, and (2) occupancy
 // — a message holds its Rm bytes allocated for the duration of its CPU/I/O
-// processing. Occupancy uses an atomic counter because allocations arrive
-// from whichever worker thread is executing the allocating agent.
+// processing. Occupancy is kept in integer milli-bytes, so allocations and
+// releases cancel exactly whatever order the allocating agents run in.
 //
 // §5.3.3 of the thesis finds that real servers exhibit a *flat* memory
 // profile dominated by kernel/runtime pools; `pool_reserved_bytes` models
 // that floor so the bench for §5.3.3 can reproduce both behaviours.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "core/archive.h"
@@ -31,30 +30,26 @@ class MemoryComponent {
   explicit MemoryComponent(const MemorySpec& spec) : spec_(spec) {}
 
   /// Cache decision. The uniform variate is supplied by the *caller's* RNG
-  /// stream (the operation instance), so concurrent routing from different
-  /// worker threads stays deterministic and race-free.
+  /// stream (the operation instance), so the outcome does not depend on the
+  /// order in which agents route.
   bool storage_access_hits_cache(double uniform01) const {
     return uniform01 < spec_.cache_hit_rate;
   }
 
   void allocate(double bytes) {
     GDISIM_AUDIT_NONNEG(bytes, "MemoryComponent: negative allocation");
-    occupied_milli_.fetch_add(to_milli(bytes), std::memory_order_relaxed);
+    occupied_milli_ += to_milli(bytes);
   }
   void release(double bytes) {
     GDISIM_AUDIT_NONNEG(bytes, "MemoryComponent: negative release");
-#if GDISIM_AUDIT_ENABLED
-    const std::int64_t before = occupied_milli_.fetch_sub(to_milli(bytes), std::memory_order_relaxed);
-    GDISIM_AUDIT_CHECK(before - to_milli(bytes) >= 0,
+    occupied_milli_ -= to_milli(bytes);
+    GDISIM_AUDIT_CHECK(occupied_milli_ >= 0,
                        "MemoryComponent: occupancy underflow (released more than allocated)");
-#else
-    occupied_milli_.fetch_sub(to_milli(bytes), std::memory_order_relaxed);
-#endif
   }
 
   /// Workload-driven occupancy only (the model of §3.4.2).
   double occupied_bytes() const {
-    return static_cast<double>(occupied_milli_.load(std::memory_order_relaxed)) / 1000.0;
+    return static_cast<double>(occupied_milli_) / 1000.0;
   }
 
   /// Occupancy including the pool floor (the physical behaviour of §5.3.3).
@@ -71,17 +66,14 @@ class MemoryComponent {
   /// re-reference this component by its server's CPU AgentId.
   void archive_state(StateArchive& ar) {
     ar.section("memory");
-    std::int64_t occupied = occupied_milli_.load(std::memory_order_relaxed);
-    ar.i64(occupied);
-    if (ar.reading()) occupied_milli_.store(occupied, std::memory_order_relaxed);
+    ar.i64(occupied_milli_);
   }
 
  private:
   static std::int64_t to_milli(double bytes) { return static_cast<std::int64_t>(bytes * 1000.0); }
 
   MemorySpec spec_;  // ARCHIVE-TRANSIENT: hardware spec; construction-time configuration
-  // GDISIM-SHARED: occupancy counter bumped by concurrent operation steps
-  std::atomic<std::int64_t> occupied_milli_{0};
+  std::int64_t occupied_milli_ = 0;
 };
 
 }  // namespace gdisim

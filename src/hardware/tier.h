@@ -28,7 +28,7 @@ class Tier {
   /// Deterministic load balancing: the selection key (derived from the
   /// operation instance) maps uniformly onto *alive* servers, which
   /// converges to round-robin in aggregate while staying independent of
-  /// thread timing. With every server down, requests still land on the
+  /// agent order. With every server down, requests still land on the
   /// first server (a degraded-mode choice: the alternative is dropping
   /// operations, which the cascade model cannot express).
   Server& pick_server(std::uint64_t key);

@@ -29,8 +29,8 @@ using JobCtxDecoder = std::function<JobCtx(std::uint64_t)>;
 /// jobs by an opaque pointer that must stay stable until completion, so
 /// components allocate one context per accepted job and free it when the job
 /// finishes — at millions of jobs per run that malloc/free pair dominates the
-/// accept/complete path. The pool hands back freed slots instead. Not
-/// thread-safe: each component touches its own pool only from its own phases.
+/// accept/complete path. The pool hands back freed slots instead. Each
+/// component touches its own pool only from its own phases.
 ///
 /// The pool also replaces the pointer-keyed live-job sets the components used
 /// to carry for teardown: it owns every slot (in-flight contexts are freed by

@@ -4,8 +4,8 @@
 //
 // A FailureInjector holds a schedule of infrastructure events — WAN links
 // going down/up, servers crashing/recovering — and applies them from a
-// single-threaded pre-tick hook, so routing tables and load-balancer state
-// mutate only between agent phases. Semantics: work already queued on a
+// pre-tick hook, so routing tables and load-balancer state mutate only
+// between agent phases. Semantics: work already queued on a
 // failed element drains; *new* messages route around it (links fail over to
 // backup links, tiers skip dead servers).
 #pragma once

@@ -3,9 +3,10 @@
 // Folds everything the simulator promises to reproduce bit-identically —
 // per-operation response statistics, background-job ledgers, and every
 // collected time series — into one FNV-1a hash. Two runs of the same
-// scenario and seed must produce the same fingerprint regardless of engine,
-// thread count, or scheduler mode; CI's determinism smoke step diffs the
-// fingerprint of a -j1 run against a -jN run (tools/ci.sh smoke).
+// scenario and seed must produce the same fingerprint regardless of
+// scheduler mode or checkpoint/restore; CI's determinism smoke step diffs
+// the active-set fingerprint against a --dense-sweep run (tools/ci.sh
+// smoke).
 //
 // Doubles are folded via their IEEE-754 bit patterns (std::bit_cast), so
 // the digest detects any bit-level divergence, not just "close enough".

@@ -1,6 +1,7 @@
 #include "sim/gdisim.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "core/archive.h"
 #include "sim/snapshot.h"
@@ -12,14 +13,17 @@ GdiSimulator::GdiSimulator(Scenario scenario, SimulatorConfig config)
   if (scenario_.tick_seconds <= 0.0) {
     throw std::invalid_argument("GdiSimulator: scenario has no tick length");
   }
-  engine_ = std::make_unique<HDispatchEngine>(config_.threads, config_.agent_set_size);
+  if (config_.threads != 0) {
+    throw std::invalid_argument("GdiSimulator: threads = " + std::to_string(config_.threads) +
+                                ", but runs are serial (threads must be 0)");
+  }
 
   SimLoopConfig loop_cfg;
   loop_cfg.tick_seconds = scenario_.tick_seconds;
   loop_cfg.collect_every =
       std::max<Tick>(1, static_cast<Tick>(config_.collect_every_s / scenario_.tick_seconds));
   loop_cfg.scheduler = config_.scheduler;
-  loop_ = std::make_unique<SimulationLoop>(loop_cfg, *engine_);
+  loop_ = std::make_unique<SimulationLoop>(loop_cfg);
 
   scenario_.register_with(*loop_);
 

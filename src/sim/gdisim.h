@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "config/scenarios.h"
-#include "core/h_dispatch.h"
 #include "core/sim_loop.h"
 #include "metrics/collector.h"
 #include "metrics/report.h"
@@ -25,9 +24,9 @@ struct SimulatorConfig {
   /// Sampling period for the measurement-collection signal (thesis Ch. 5
   /// samples every six seconds).
   double collect_every_s = 6.0;
-  /// Worker threads for the H-Dispatch engine; 0 = run phases inline.
+  /// Must be 0: every run is serial, and the constructor rejects any other
+  /// value. Kept because perfbench/gdibench.cc sets it.
   std::size_t threads = 0;
-  std::size_t agent_set_size = 64;
   /// Active-set scheduling by default; kDenseSweep is the A/B oracle
   /// (DESIGN.md "Scheduler").
   SchedulerMode scheduler = SchedulerMode::kActiveSet;
@@ -77,7 +76,6 @@ class GdiSimulator {
 
   Scenario scenario_;
   SimulatorConfig config_;
-  std::unique_ptr<HDispatchEngine> engine_;
   std::unique_ptr<SimulationLoop> loop_;
   std::unique_ptr<Collector> collector_;
 };

@@ -6,9 +6,9 @@
 // the Ch. 5 validation protocol: a new client enters every `interval` and
 // runs a fixed series of operations once.
 //
-// Both launchers receive completion callbacks on component worker threads;
-// those callbacks only post to the launcher's own inbox, and all state is
-// mutated in the launcher's own phases, keeping execution deterministic.
+// Both launchers receive completion callbacks from component phases; those
+// callbacks only post to the launcher's own inbox, and all state is mutated
+// in the launcher's own phases, keeping execution deterministic.
 //
 // Hot-state layout (DESIGN.md "Memory layout"): per-operation statistics
 // live in dense vectors indexed by the catalog's interned op ids
@@ -149,8 +149,7 @@ class OpStatsTable {
 using OwnerSampler = std::function<DcId(DcId origin_dc, double uniform01)>;
 
 /// Observes every operation launch (time, op, origin, owner, size); used by
-/// the workload recorder (software/replay.h). Must be thread-safe: launches
-/// happen in parallel agent phases.
+/// the workload recorder (software/replay.h).
 using LaunchRecorder = std::function<void(double t_seconds, const std::string& op,
                                           DcId origin, DcId owner, double size_mb)>;
 
@@ -197,8 +196,6 @@ class ClientPopulation final : public Agent {
     if (!completions_.empty()) return next_now;
     return std::max(next_scan_, next_now);
   }
-
-  void on_engine_serial(bool serial) override { completions_.set_serial(serial); }
 
   void set_owner_sampler(OwnerSampler sampler) { owner_sampler_ = std::move(sampler); }
   void set_launch_recorder(LaunchRecorder recorder) { recorder_ = std::move(recorder); }
@@ -314,8 +311,6 @@ class SeriesLauncher final : public Agent {
     if (config_.series.empty() || next_launch_ >= stop_tick_) return kNeverTick;
     return std::max(next_launch_, next_now);
   }
-
-  void on_engine_serial(bool serial) override { completions_.set_serial(serial); }
 
   /// Series currently in flight (the "concurrent clients" of Figure 5-6).
   std::size_t concurrent() const { return live_.size(); }

@@ -87,7 +87,7 @@ void OperationInstance::reset(const CascadeSpec& spec, const LaunchParams& param
   step_idx_ = 0;
   repeats_left_ = 0;
   start_tick_ = 0;
-  branches_outstanding_.store(0, std::memory_order_relaxed);
+  branches_outstanding_ = 0;
   // branches_ keeps its (possibly oversized) storage: start_step()
   // re-initializes every field of the branches a step actually uses, and
   // archive_state only walks the current step's branch count.
@@ -108,8 +108,7 @@ void OperationInstance::start_step(Tick now) {
   // after the first pass. Field values match a freshly-constructed
   // BranchState exactly (including local_seq, which feeds inbox ordering).
   if (branches_.size() < step.branches.size()) branches_.resize(step.branches.size());
-  branches_outstanding_.store(static_cast<unsigned>(step.branches.size()),
-                              std::memory_order_relaxed);
+  branches_outstanding_ = static_cast<unsigned>(step.branches.size());
   for (std::size_t b = 0; b < step.branches.size(); ++b) {
     BranchState& br = branches_[b];
     br.sequence = &step.branches[b];
@@ -147,8 +146,8 @@ void OperationInstance::start_message(std::size_t branch_idx, Tick now) {
 void OperationInstance::submit_stage(std::size_t branch_idx, Tick now) {
   BranchState& br = branches_[branch_idx];
   const Stage& stage = br.stages[br.stage_idx];
-  // Per-branch sequence numbers keep inbox ordering deterministic even when
-  // sibling branches post concurrently from different worker threads.
+  // Per-branch sequence numbers keep inbox ordering deterministic whatever
+  // order sibling branches post in.
   const std::uint64_t seq = (params_.instance_serial << 24) |
                             (static_cast<std::uint64_t>(branch_idx) << 16) | br.local_seq++;
   stage.target->submit(now + 1, params_.launcher_id, seq,
@@ -177,7 +176,7 @@ void OperationInstance::finish_message(std::size_t branch_idx, Tick /*now*/) {
 }
 
 void OperationInstance::finish_branch(Tick now) {
-  if (branches_outstanding_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  if (--branches_outstanding_ != 0) return;
   // Last branch of the step: advance the cascade.
   if (--repeats_left_ > 0) {
     start_step(now);
@@ -199,9 +198,9 @@ void OperationInstance::archive_state(StateArchive& ar, HandlerRegistry& reg) {
   std::uint32_t repeats = repeats_left_;
   ar.u32(repeats);
   repeats_left_ = repeats;
-  std::uint32_t outstanding = branches_outstanding_.load(std::memory_order_relaxed);
+  std::uint32_t outstanding = branches_outstanding_;
   ar.u32(outstanding);
-  branches_outstanding_.store(outstanding, std::memory_order_relaxed);
+  branches_outstanding_ = outstanding;
 
   // A finished instance parked in its launcher's completion inbox has
   // step_idx_ == steps.size() and no live branches; its kOperation spawn was

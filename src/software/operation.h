@@ -4,13 +4,12 @@
 // into a *route* of hardware-component stages (origin NIC -> WAN links ->
 // destination switch -> tier link -> NIC -> CPU -> storage, with memory-cache
 // bypass and occupancy, per Eq. 3.2-3.5 of the thesis). Stage completions
-// arrive on whichever worker thread ticked the serving component; branch
-// state is only ever touched by the single thread holding that branch's
-// current stage, and step joins go through an atomic counter, so execution
-// is race-free and — thanks to per-branch sequence numbers — deterministic.
+// arrive during the phase of the serving component; branch state is only
+// touched through the branch's current stage, and the last branch of a step
+// to finish advances the cascade, so — thanks to per-branch sequence numbers
+// — the execution is deterministic whatever order the components run in.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -73,8 +72,8 @@ struct LaunchParams {
 
 class OperationInstance final : public StageCompletionHandler {
  public:
-  /// `done` is invoked from a worker thread when the operation finishes; it
-  /// must only perform thread-safe actions (typically an Inbox post).
+  /// `done` is invoked from the finishing component's phase; it should only
+  /// post to the owner's inbox, so all owner state changes in its own phases.
   using DoneFn = std::function<void(OperationInstance&, Tick end_tick)>;
 
   OperationInstance(const CascadeSpec& spec, OperationContext& ctx, LaunchParams params,
@@ -160,8 +159,9 @@ class OperationInstance final : public StageCompletionHandler {
   std::size_t step_idx_ = 0;
   unsigned repeats_left_ = 0;
   std::vector<BranchState> branches_;
-  // GDISIM-SHARED: join counter decremented by branches completing on any worker
-  std::atomic<unsigned> branches_outstanding_{0};
+  /// Branches of the current step still in flight; the last to finish
+  /// advances the cascade.
+  unsigned branches_outstanding_ = 0;
   Tick start_tick_ = 0;
 };
 

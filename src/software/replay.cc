@@ -9,13 +9,11 @@
 namespace gdisim {
 
 void WorkloadTrace::record(TraceEntry entry) {
-  std::lock_guard<std::mutex> lock(mu_);
   entry.serial = next_serial_++;
   entries_.push_back(std::move(entry));
 }
 
 void WorkloadTrace::finalize() {
-  std::lock_guard<std::mutex> lock(mu_);
   std::sort(entries_.begin(), entries_.end(), [](const TraceEntry& a, const TraceEntry& b) {
     if (a.t_seconds != b.t_seconds) return a.t_seconds < b.t_seconds;
     if (a.origin != b.origin) return a.origin < b.origin;
@@ -24,13 +22,7 @@ void WorkloadTrace::finalize() {
   });
 }
 
-std::size_t WorkloadTrace::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 void WorkloadTrace::save(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
   os << "t_seconds,op,origin,owner,size_mb\n";
   for (const TraceEntry& e : entries_) {
     os << e.t_seconds << ',' << e.op << ',' << e.origin << ','

@@ -11,7 +11,6 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -33,26 +32,15 @@ struct TraceEntry {
 
 class WorkloadTrace {
  public:
-  WorkloadTrace() = default;
-  // Movable (the mutex only guards concurrent recording; moves happen while
-  // no recording is in progress).
-  WorkloadTrace(WorkloadTrace&& other) noexcept
-      : entries_(std::move(other.entries_)), next_serial_(other.next_serial_) {}
-  WorkloadTrace& operator=(WorkloadTrace&& other) noexcept {
-    entries_ = std::move(other.entries_);
-    next_serial_ = other.next_serial_;
-    return *this;
-  }
-
-  /// Thread-safe append (populations launch from parallel worker phases).
+  /// Appends one launch, stamping its recording serial.
   void record(TraceEntry entry);
 
   /// Sorts entries by (time, origin, op, serial); call once after recording.
   void finalize();
 
   const std::vector<TraceEntry>& entries() const { return entries_; }
-  std::size_t size() const;
-  bool empty() const { return size() == 0; }
+  std::size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
 
   /// CSV round trip: "t_seconds,op,origin,owner,size_mb".
   void save(std::ostream& os) const;
@@ -62,7 +50,6 @@ class WorkloadTrace {
   LaunchRecorder recorder();
 
  private:
-  mutable std::mutex mu_;  // GDISIM-SHARED: serializes trace appends from concurrent launch sites
   std::vector<TraceEntry> entries_;
   std::uint64_t next_serial_ = 0;
 };
@@ -85,8 +72,6 @@ class TraceLauncher final : public Agent {
     if (cursor_ >= entries.size()) return kNeverTick;
     return std::max(next_now, clock_.to_ticks(entries[cursor_].t_seconds));
   }
-
-  void on_engine_serial(bool serial) override { completions_.set_serial(serial); }
 
   std::size_t launched() const { return cursor_; }
   std::size_t in_flight() const { return live_.size(); }

@@ -6,7 +6,6 @@
 #include "background/ownership.h"
 #include "background/synchrep.h"
 #include "config/scenarios.h"
-#include "core/h_dispatch.h"
 
 namespace gdisim {
 namespace {
@@ -86,7 +85,6 @@ TEST(FreshnessLedger, ExposureCombinesIntervalAndDuration) {
 /// Micro world to drive the daemons for a simulated stretch.
 struct DaemonWorld {
   Scenario scenario;
-  std::unique_ptr<HDispatchEngine> engine;
   std::unique_ptr<SimulationLoop> loop;
 
   explicit DaemonWorld(bool multimaster = false) {
@@ -94,8 +92,7 @@ struct DaemonWorld {
     opt.scale = 0.02;  // tiny
     opt.seed = 5;
     scenario = multimaster ? make_multimaster_scenario(opt) : make_consolidated_scenario(opt);
-    engine = std::make_unique<HDispatchEngine>(0, 64);
-    loop = std::make_unique<SimulationLoop>(SimLoopConfig{scenario.tick_seconds, 0}, *engine);
+    loop = std::make_unique<SimulationLoop>(SimLoopConfig{scenario.tick_seconds, 0});
     scenario.register_with(*loop);
   }
 };

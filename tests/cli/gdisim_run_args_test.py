@@ -30,8 +30,6 @@ BAD_ARGS = [
     (["--experiment", "x"], 2, "--experiment: bad value 'x'"),
     (["--experiment", "0"], 2, "--experiment: bad value '0'"),
     (["--experiment", "4"], 2, "--experiment: bad value '4'"),
-    (["--threads", "-1"], 2, "--threads: bad value '-1'"),
-    (["--threads", "2.5"], 2, "--threads: bad value '2.5'"),
     (["--scale", "0"], 2, "--scale: bad value '0'"),
     (["--scale", "nan"], 2, "--scale: bad value 'nan'"),
     (["--checkpoint-every", "soon"], 2, "--checkpoint-every: bad value 'soon'"),
@@ -44,6 +42,7 @@ BAD_ARGS = [
     (["--no-route-cache"], 2, "unknown flag '--no-route-cache'"),
     (["--no-inbox-batch"], 2, "unknown flag '--no-inbox-batch'"),
     (["--no-wake-coalesce"], 2, "unknown flag '--no-wake-coalesce'"),
+    (["--threads", "0"], 2, "unknown flag '--threads'"),
     # Output paths are checked before the (here: full-scale, full-day) run.
     (["--scale", "1.0", "--hours", "24", "--checkpoint", "/nonexistent/dir/x.snap"], 1,
      "/nonexistent/dir/x.snap"),
@@ -75,7 +74,7 @@ class GdisimRunArgs(unittest.TestCase):
 
     def test_well_formed_numbers_run(self):
         p = run(["--scenario", "validation", "--experiment", "3", "--hours", "0.01", "--seed",
-                 "7", "--threads", "0", "--quiet", "--fingerprint"])
+                 "7", "--quiet", "--fingerprint"])
         self.assertEqual(p.returncode, 0, p.stderr)
         self.assertIn("fingerprint: ", p.stdout)
 

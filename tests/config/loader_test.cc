@@ -77,7 +77,7 @@ TEST(Loader, ParsesFullScenario) {
 TEST(Loader, LoadedScenarioActuallyRuns) {
   std::istringstream is(sample_without_bad_backup());
   Scenario s = load_scenario(is);
-  GdiSimulator sim(std::move(s), SimulatorConfig{6.0, 0, 64});
+  GdiSimulator sim(std::move(s), SimulatorConfig{6.0});
   sim.run_for(120.0);
   std::uint64_t completed = 0;
   for (auto& p : sim.scenario().populations) completed += p->completed_operations();
@@ -143,6 +143,23 @@ TEST(Loader, ErrorsQuoteOffendingToken) {
       {"datacenter A\n san 1 4 15000\n tier fs 1 1 1\nend\npopulation P NOPE CAD 5\nend\n",
        "unknown datacenter 'NOPE'"},
       {"tick 0.02\nregime auto\n  epoch 2\nend\n", "<stream>:2: unknown directive 'regime'"},
+      {"tick nan\n", "<stream>:1: expected a number, got 'nan'"},
+      {"tick 0.02s\n", "<stream>:1: expected a number, got '0.02s'"},
+      {"seed -1\n", "<stream>:1: expected a non-negative integer, got '-1'"},
+      {"datacenter A\n switch 0\nend\n", "<stream>:2: switch bandwidth must be > 0, got '0'"},
+      {"datacenter A\n tier fs 1 1 1\nend\ndatacenter B\n tier fs 1 1 1\nend\n"
+       "link A B 1 10 7\n",
+       "<stream>:7: link allocation must be in (0, 1], got '7'"},
+      {"datacenter A\n tier fs 1 1 1\nend\npopulation P A CAD -20\nend\n",
+       "<stream>:4: population peak must be > 0, got '-20'"},
+      {"datacenter A\n tier fs 1 1 1\nend\npopulation P A CAD 5\n think -5\nend\n",
+       "<stream>:5: think time must be >= 0, got '-5'"},
+      {"datacenter A\n tier fs 1 1 1\nend\npopulation P A CAD 5\n size inf\nend\n",
+       "<stream>:5: expected a number, got 'inf'"},
+      {"datacenter A\n tier fs 1 1 1\nend\nlink A B 1 10\n",
+       "<stream>:4: link references unknown datacenter 'B'"},
+      {"master H\ndatacenter A\n tier fs 1 1 1\nend\nsynchrep A 900\n",
+       "<stream>:1: master references unknown datacenter 'H'"},
   };
   for (const Case& c : cases) {
     std::istringstream is(c.body);

@@ -4,8 +4,6 @@
 
 #include <vector>
 
-#include "core/engine.h"
-
 namespace gdisim {
 namespace {
 
@@ -18,8 +16,7 @@ class RecordingAgent final : public Agent {
 };
 
 TEST(SimulationLoop, AdvancesTime) {
-  SerialEngine engine;
-  SimulationLoop loop({0.01, 0}, engine);
+  SimulationLoop loop({0.01, 0});
   RecordingAgent a;
   loop.add_agent(&a);
   loop.run_until(10);
@@ -31,8 +28,7 @@ TEST(SimulationLoop, AdvancesTime) {
 }
 
 TEST(SimulationLoop, InteractionPhaseSeesNowPlusOne) {
-  SerialEngine engine;
-  SimulationLoop loop({0.01, 0}, engine);
+  SimulationLoop loop({0.01, 0});
   RecordingAgent a;
   loop.add_agent(&a);
   loop.step();
@@ -41,8 +37,7 @@ TEST(SimulationLoop, InteractionPhaseSeesNowPlusOne) {
 }
 
 TEST(SimulationLoop, AgentIdsAreDense) {
-  SerialEngine engine;
-  SimulationLoop loop({0.01, 0}, engine);
+  SimulationLoop loop({0.01, 0});
   RecordingAgent a, b, c;
   EXPECT_EQ(loop.add_agent(&a), 0u);
   EXPECT_EQ(loop.add_agent(&b), 1u);
@@ -51,8 +46,7 @@ TEST(SimulationLoop, AgentIdsAreDense) {
 }
 
 TEST(SimulationLoop, CollectCallbackFiresAtConfiguredCadence) {
-  SerialEngine engine;
-  SimulationLoop loop({0.01, 5}, engine);
+  SimulationLoop loop({0.01, 5});
   RecordingAgent a;
   loop.add_agent(&a);
   std::vector<Tick> collected;
@@ -64,8 +58,7 @@ TEST(SimulationLoop, CollectCallbackFiresAtConfiguredCadence) {
 }
 
 TEST(SimulationLoop, RunForSecondsRoundsUp) {
-  SerialEngine engine;
-  SimulationLoop loop({0.01, 0}, engine);
+  SimulationLoop loop({0.01, 0});
   RecordingAgent a;
   loop.add_agent(&a);
   loop.run_for_seconds(0.095);  // 9.5 ticks -> 10
@@ -73,8 +66,7 @@ TEST(SimulationLoop, RunForSecondsRoundsUp) {
 }
 
 TEST(SimulationLoop, RejectsNullAgent) {
-  SerialEngine engine;
-  SimulationLoop loop({0.01, 0}, engine);
+  SimulationLoop loop({0.01, 0});
   EXPECT_THROW(loop.add_agent(nullptr), std::invalid_argument);
 }
 
@@ -108,6 +100,24 @@ TEST(Inbox, DrainOrderIsDeterministic) {
   EXPECT_EQ(ra[0].payload, 10);
   EXPECT_EQ(ra[1].payload, 11);
   EXPECT_EQ(ra[2].payload, 20);
+}
+
+TEST(Inbox, InterleavedPostAndDrainLosesNothing) {
+  // Posts keep arriving between drains, most of them not yet visible; every
+  // delivery comes out exactly once, in post order (one sender, rising seq).
+  Inbox<int> inbox;
+  std::vector<int> drained;
+  Tick now = 0;
+  for (int i = 0; i < 20000; ++i) {
+    inbox.post(i / 10, 0, static_cast<std::uint64_t>(i), i);
+    if (i % 37 == 0) {
+      for (const auto& d : inbox.drain_visible(now++)) drained.push_back(d.payload);
+    }
+  }
+  for (const auto& d : inbox.drain_visible(1 << 20)) drained.push_back(d.payload);
+  EXPECT_TRUE(inbox.empty());
+  ASSERT_EQ(drained.size(), 20000u);
+  for (int i = 0; i < 20000; ++i) EXPECT_EQ(drained[static_cast<std::size_t>(i)], i);
 }
 
 TEST(TickClock, Conversions) {

@@ -1,13 +1,11 @@
-// Concurrency stress tests for the messaging substrate: many producer
-// threads against ports and inboxes must lose nothing and preserve the
-// deterministic drain order.
+// Concurrency stress tests for the Ch. 4 runtime: many producer threads
+// against ports, the dispatcher and the H-Dispatch engine must lose nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "core/agent.h"
 #include "core/coordination.h"
 #include "core/engine.h"
 
@@ -44,53 +42,6 @@ TEST(PortStress, ConcurrentProducersLoseNothing) {
   const int total = kProducers * kPerProducer;
   EXPECT_EQ(received.load(), total);
   EXPECT_EQ(sum.load(), static_cast<std::uint64_t>(total) * (total - 1) / 2);
-}
-
-TEST(InboxStress, ConcurrentPostersDeterministicDrain) {
-  Inbox<int> inbox;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 2000;
-  std::vector<std::thread> posters;
-  for (int t = 0; t < kThreads; ++t) {
-    posters.emplace_back([&inbox, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        inbox.post(/*visible_at=*/1, /*sender=*/static_cast<AgentId>(t),
-                   /*seq=*/static_cast<std::uint64_t>(i), t * kPerThread + i);
-      }
-    });
-  }
-  for (auto& t : posters) t.join();
-
-  auto drained = inbox.drain_visible(1);
-  ASSERT_EQ(drained.size(), static_cast<std::size_t>(kThreads * kPerThread));
-  // Sorted by (sender, seq): payloads are exactly 0..N-1 in order.
-  for (std::size_t i = 0; i < drained.size(); ++i) {
-    EXPECT_EQ(drained[i].payload, static_cast<int>(i));
-  }
-  EXPECT_TRUE(inbox.empty());
-}
-
-TEST(InboxStress, InterleavedPostAndDrain) {
-  Inbox<int> inbox;
-  std::atomic<bool> stop{false};
-  std::atomic<int> posted{0};
-  std::thread producer([&] {
-    for (int i = 0; i < 20000; ++i) {
-      inbox.post(i / 100, 0, static_cast<std::uint64_t>(i), i);
-      posted.fetch_add(1);
-    }
-    stop.store(true);
-  });
-  int drained = 0;
-  Tick now = 0;
-  while (!stop.load() || !inbox.empty()) {
-    drained += static_cast<int>(inbox.drain_visible(now).size());
-    now += 1;
-  }
-  drained += static_cast<int>(inbox.drain_visible(1 << 20).size());
-  producer.join();
-  drained += static_cast<int>(inbox.drain_visible(1 << 20).size());
-  EXPECT_EQ(drained, posted.load());
 }
 
 TEST(DispatcherStress, PostFromManyThreads) {

@@ -4,10 +4,8 @@
 // must be revived by calendar wakes, inbox posts, and explicit wake() calls.
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
-#include "core/engine.h"
 #include "core/sim_loop.h"
 #include "core/wake_calendar.h"
 
@@ -170,8 +168,7 @@ class PosterAgent final : public Agent {
 };
 
 TEST(ActiveSetLoop, CalendarWakeRunsAgentOnlyAtRequestedTick) {
-  SerialEngine engine;
-  SimulationLoop loop({0.01, 0}, engine);
+  SimulationLoop loop({0.01, 0});
   ASSERT_EQ(loop.scheduler_mode(), SchedulerMode::kActiveSet);
   NapAgent nap(7);
   loop.add_agent(&nap);
@@ -184,8 +181,7 @@ TEST(ActiveSetLoop, CalendarWakeRunsAgentOnlyAtRequestedTick) {
 }
 
 TEST(ActiveSetLoop, PostWhileQuiescentWakesReceiverSameIteration) {
-  SerialEngine engine;
-  SimulationLoop loop({0.01, 0}, engine);
+  SimulationLoop loop({0.01, 0});
   SleeperAgent sleeper;
   PosterAgent poster(&sleeper, 5);
   loop.add_agent(&sleeper);
@@ -204,8 +200,7 @@ TEST(ActiveSetLoop, PostWhileQuiescentWakesReceiverSameIteration) {
 }
 
 TEST(ActiveSetLoop, ExplicitWakeReactivatesParkedAgent) {
-  SerialEngine engine;
-  SimulationLoop loop({0.01, 0}, engine);
+  SimulationLoop loop({0.01, 0});
   SleeperAgent sleeper;
   const AgentId id = loop.add_agent(&sleeper);
   loop.run_until(4);
@@ -216,22 +211,8 @@ TEST(ActiveSetLoop, ExplicitWakeReactivatesParkedAgent) {
   EXPECT_EQ(sleeper.ticks[1], 4);
 }
 
-TEST(ActiveSetLoop, CrossThreadWakesAreAbsorbed) {
-  SerialEngine engine;
-  SimulationLoop loop({0.01, 0}, engine);
-  SleeperAgent sleeper;
-  const AgentId id = loop.add_agent(&sleeper);
-  loop.run_until(2);
-  std::thread t([&loop, id] { loop.wake(id); });
-  t.join();
-  loop.step();
-  ASSERT_EQ(sleeper.ticks.size(), 2u);
-  EXPECT_EQ(sleeper.ticks[1], 2);
-}
-
 TEST(ActiveSetLoop, DenseSweepIgnoresWakePolicy) {
-  SerialEngine engine;
-  SimulationLoop loop({0.01, 0, SchedulerMode::kDenseSweep}, engine);
+  SimulationLoop loop({0.01, 0, SchedulerMode::kDenseSweep});
   SleeperAgent sleeper;
   loop.add_agent(&sleeper);
   loop.run_until(5);
@@ -240,8 +221,7 @@ TEST(ActiveSetLoop, DenseSweepIgnoresWakePolicy) {
 }
 
 TEST(ActiveSetLoop, EveryTickAgentStaysActive) {
-  SerialEngine engine;
-  SimulationLoop loop({0.01, 0}, engine);
+  SimulationLoop loop({0.01, 0});
   // Base Agent answers kEveryTick: active-set behaviour must match dense.
   class Dense final : public Agent {
    public:
@@ -266,8 +246,7 @@ TEST(ActiveSetLoop, RepeatedCalendarNapsRearmCorrectly) {
     }
     std::vector<Tick> ticks;
   };
-  SerialEngine engine;
-  SimulationLoop loop({0.01, 0}, engine);
+  SimulationLoop loop({0.01, 0});
   Strider s;
   loop.add_agent(&s);
   loop.run_until(55);

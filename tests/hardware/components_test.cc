@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "core/engine.h"
 #include "core/rng.h"
 #include "core/sim_loop.h"
 #include "hardware/cpu.h"

@@ -123,8 +123,7 @@ TEST(Tier, DeterministicLoadBalancing) {
 }
 
 TEST(Topology, RegisterWithSetsTickAndIds) {
-  SerialEngine engine;
-  SimulationLoop loop({0.02, 0}, engine);
+  SimulationLoop loop({0.02, 0});
   Topology topo;
   const DcId na = topo.add_datacenter(make_dc("NA"));
   ServerSpec server = make_server_spec(TierNotation{1, 4, 32.0}, true);

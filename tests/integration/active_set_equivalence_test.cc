@@ -82,26 +82,24 @@ void expect_identical(const RunResult& dense, const RunResult& active) {
   EXPECT_EQ(dense.sr_max_staleness, active.sr_max_staleness);
 }
 
-RunResult run_validation(SchedulerMode mode, std::size_t threads) {
+RunResult run_validation(SchedulerMode mode) {
   ValidationOptions opt;
   opt.stop_launch_s = 4.0 * 60.0;
   Scenario scenario = make_validation_scenario(opt);
   SimulatorConfig cfg;
   cfg.collect_every_s = 6.0;
-  cfg.threads = threads;
   cfg.scheduler = mode;
   GdiSimulator sim(std::move(scenario), cfg);
   sim.run_for(5.0 * 60.0);
   return summarize(sim);
 }
 
-RunResult run_consolidated(SchedulerMode mode, std::size_t threads, double minutes) {
+RunResult run_consolidated(SchedulerMode mode, double minutes) {
   GlobalOptions opt;
   opt.scale = 0.02;
   Scenario scenario = make_consolidated_scenario(opt);
   SimulatorConfig cfg;
   cfg.collect_every_s = 30.0;
-  cfg.threads = threads;
   cfg.scheduler = mode;
   GdiSimulator sim(std::move(scenario), cfg);
   sim.run_for(minutes * 60.0);
@@ -109,30 +107,18 @@ RunResult run_consolidated(SchedulerMode mode, std::size_t threads, double minut
 }
 
 TEST(ActiveSetEquivalence, ValidationScenarioSerial) {
-  expect_identical(run_validation(SchedulerMode::kDenseSweep, 0),
-                   run_validation(SchedulerMode::kActiveSet, 0));
-}
-
-TEST(ActiveSetEquivalence, ValidationScenarioActiveSetThreaded) {
-  // Dense serial oracle vs active set under a thread pool: exercises the
-  // cross-thread wake path and the sharded inbox merge.
-  expect_identical(run_validation(SchedulerMode::kDenseSweep, 0),
-                   run_validation(SchedulerMode::kActiveSet, 4));
+  expect_identical(run_validation(SchedulerMode::kDenseSweep),
+                   run_validation(SchedulerMode::kActiveSet));
 }
 
 TEST(ActiveSetEquivalence, ConsolidatedScenarioSerial) {
-  const RunResult dense = run_consolidated(SchedulerMode::kDenseSweep, 0, 12.0);
-  const RunResult active = run_consolidated(SchedulerMode::kActiveSet, 0, 12.0);
+  const RunResult dense = run_consolidated(SchedulerMode::kDenseSweep, 12.0);
+  const RunResult active = run_consolidated(SchedulerMode::kActiveSet, 12.0);
   expect_identical(dense, active);
   // The whole point: the consolidated scenario has long quiet stretches, so
   // the active set must actually be sparse, not just correct.
   EXPECT_LT(active.occupancy, 0.9);
   EXPECT_DOUBLE_EQ(dense.occupancy, 1.0);
-}
-
-TEST(ActiveSetEquivalence, ConsolidatedScenarioThreaded) {
-  expect_identical(run_consolidated(SchedulerMode::kDenseSweep, 0, 8.0),
-                   run_consolidated(SchedulerMode::kActiveSet, 3, 8.0));
 }
 
 }  // namespace

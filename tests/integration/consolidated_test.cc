@@ -14,7 +14,7 @@ class ConsolidatedPeak : public ::testing::Test {
     GlobalOptions opt;
     opt.scale = 0.04;
     Scenario scenario = make_consolidated_scenario(opt);
-    sim_ = new GdiSimulator(std::move(scenario), SimulatorConfig{60.0, 0, 64});
+    sim_ = new GdiSimulator(std::move(scenario), SimulatorConfig{60.0});
     sim_->run_for(12.0 * 3600.0);
     sim_->run_for(4.0 * 3600.0);
   }

@@ -5,15 +5,16 @@
 // change to routing, RNG streams, inbox ordering, or queue math shows up
 // here first).
 //
-// The fingerprints are what `gdisim_run ... --threads 0 --quiet
-// --fingerprint` prints for the same run; each case below builds the
-// scenario and simulator exactly as gdisim_run does (collection every 6 s for
-// validation, 30 s otherwise).
+// The fingerprints are what `gdisim_run ... --quiet --fingerprint` prints
+// for the same run; each case below builds the scenario and simulator
+// exactly as gdisim_run does (collection every 6 s for validation, 30 s
+// otherwise).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <ostream>
 #include <string>
 
 #include "config/loader.h"
@@ -37,7 +38,7 @@ GoldenRun run() {
   opt.stop_launch_s = 3.0 * 60.0;
   Scenario scenario = make_validation_scenario(opt);
   const double tick = scenario.tick_seconds;
-  GdiSimulator sim(std::move(scenario), SimulatorConfig{6.0, 2, 64});
+  GdiSimulator sim(std::move(scenario), SimulatorConfig{6.0});
   sim.run_for(6.0 * 60.0);
 
   GoldenRun out;
@@ -69,6 +70,10 @@ struct FingerprintCase {
   double collect_every_s;
   std::uint64_t fingerprint;
 };
+
+/// Names the case in test listings (gtest would otherwise print the raw
+/// bytes of the struct, pointers included, which change from run to run).
+void PrintTo(const FingerprintCase& c, std::ostream* os) { *os << c.name; }
 
 /// gdisim_run's validation defaults: a 38-minute horizon, launches stopping
 /// three minutes before its end.
@@ -110,7 +115,6 @@ class GoldenFingerprint : public ::testing::TestWithParam<FingerprintCase> {};
 TEST_P(GoldenFingerprint, MatchesPinnedValue) {
   const FingerprintCase& c = GetParam();
   SimulatorConfig cfg;
-  cfg.threads = 0;
   cfg.collect_every_s = c.collect_every_s;
   GdiSimulator sim(c.make(), cfg);
   sim.run_until_seconds(c.hours * 3600.0);

@@ -20,7 +20,7 @@ class MultimasterPeak : public ::testing::Test {
                                scenario.master_dc, 99);
     for (auto& sr : scenario.synchreps) sr->set_file_tracker(tracker_);
 
-    sim_ = new GdiSimulator(std::move(scenario), SimulatorConfig{60.0, 0, 64});
+    sim_ = new GdiSimulator(std::move(scenario), SimulatorConfig{60.0});
     sim_->run_for(12.0 * 3600.0);
     sim_->run_for(4.0 * 3600.0);
   }

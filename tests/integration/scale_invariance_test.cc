@@ -62,7 +62,6 @@ TEST(ScaleInvariance, ShapesAgreeVolumesLinear) {
     opt.scale = scale;
     SimulatorConfig cfg;
     cfg.collect_every_s = 60.0;
-    cfg.threads = 0;
     auto sim = std::make_unique<GdiSimulator>(make_consolidated_scenario(opt), cfg);
     sim->run_for(horizon_s);
     return sim;
@@ -100,13 +99,11 @@ TEST(ScaleInvariance, SnapshotRoundTripPreservesStatsTables) {
   // result fingerprints — which digest the per-op statistics — must match.
   GlobalOptions opt;
   opt.scale = 0.05;
-  SimulatorConfig cfg;
-  cfg.threads = 0;
-  GdiSimulator original(make_consolidated_scenario(opt), cfg);
+  GdiSimulator original(make_consolidated_scenario(opt));
   original.run_for(0.5 * 3600.0);
   const std::vector<std::uint8_t> payload = original.save_state();
 
-  GdiSimulator fork(make_consolidated_scenario(opt), cfg);
+  GdiSimulator fork(make_consolidated_scenario(opt));
   fork.load_state(payload);
   EXPECT_DOUBLE_EQ(fork.now_seconds(), original.now_seconds());
 
@@ -115,7 +112,7 @@ TEST(ScaleInvariance, SnapshotRoundTripPreservesStatsTables) {
   EXPECT_EQ(result_fingerprint(original), result_fingerprint(fork));
 
   // And a re-save of the fork's continued state must round-trip again.
-  GdiSimulator fork2(make_consolidated_scenario(opt), cfg);
+  GdiSimulator fork2(make_consolidated_scenario(opt));
   fork2.load_state(fork.save_state());
   EXPECT_EQ(result_fingerprint(fork), result_fingerprint(fork2));
 }

@@ -1,10 +1,9 @@
 // Checkpoint/restore equivalence (DESIGN.md §8): a run interrupted by a
 // checkpoint→restore cycle must produce the *bit-identical* result
-// fingerprint of the uninterrupted run — across thread counts and scheduler
-// modes, and even when the snapshot is restored under a different engine
-// configuration than the one that saved it. Also covers warm-start forking
-// (one snapshot, several perturbed scenarios) and structural-mismatch
-// rejection.
+// fingerprint of the uninterrupted run — under both scheduler modes, and
+// even when the snapshot is restored under a different scheduler than the
+// one that saved it. Also covers warm-start forking (one snapshot, several
+// perturbed scenarios) and structural-mismatch rejection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,35 +44,32 @@ std::string replaced(std::string text, const std::string& from, const std::strin
   return text;
 }
 
-std::unique_ptr<GdiSimulator> make_sim(const std::string& text, std::size_t threads,
-                                       SchedulerMode mode) {
+std::unique_ptr<GdiSimulator> make_sim(const std::string& text, SchedulerMode mode) {
   std::istringstream is(text);
   Scenario s = load_scenario(is, "<test>");
   SimulatorConfig cfg;
-  cfg.threads = threads;
   cfg.scheduler = mode;
   return std::make_unique<GdiSimulator>(std::move(s), cfg);
 }
 
-std::uint64_t uninterrupted_fp(const std::string& text, std::size_t threads, SchedulerMode mode,
-                               double t2) {
-  auto sim = make_sim(text, threads, mode);
+std::uint64_t uninterrupted_fp(const std::string& text, SchedulerMode mode, double t2) {
+  auto sim = make_sim(text, mode);
   sim->run_until_seconds(t2);
   return result_fingerprint(*sim);
 }
 
 /// Core check: run to t1, checkpoint to disk, restore into a fresh simulator,
 /// continue to t2 — fingerprint must equal the uninterrupted run's.
-void expect_restore_equivalence(const std::string& text, std::size_t threads, SchedulerMode mode,
-                                double t1, double t2, const std::string& tag) {
-  const std::uint64_t want = uninterrupted_fp(text, threads, mode, t2);
+void expect_restore_equivalence(const std::string& text, SchedulerMode mode, double t1, double t2,
+                                const std::string& tag) {
+  const std::uint64_t want = uninterrupted_fp(text, mode, t2);
 
-  auto warm = make_sim(text, threads, mode);
+  auto warm = make_sim(text, mode);
   warm->run_until_seconds(t1);
   const std::string snap = std::string(::testing::TempDir()) + "snap_" + tag + ".gdisnap";
   warm->checkpoint(snap);
 
-  auto resumed = make_sim(text, threads, mode);
+  auto resumed = make_sim(text, mode);
   resumed->restore(snap);
   EXPECT_DOUBLE_EQ(resumed->now_seconds(), warm->now_seconds());
   resumed->run_until_seconds(t2);
@@ -82,44 +78,39 @@ void expect_restore_equivalence(const std::string& text, std::size_t threads, Sc
 }
 
 TEST(SnapshotEquivalence, TwoSiteSerialActiveSet) {
-  expect_restore_equivalence(two_site_text(), 0, SchedulerMode::kActiveSet, 60.0, 180.0,
+  expect_restore_equivalence(two_site_text(), SchedulerMode::kActiveSet, 60.0, 180.0,
                              "two_site_serial_active");
 }
 
 TEST(SnapshotEquivalence, TwoSiteSerialDenseSweep) {
-  expect_restore_equivalence(two_site_text(), 0, SchedulerMode::kDenseSweep, 60.0, 180.0,
+  expect_restore_equivalence(two_site_text(), SchedulerMode::kDenseSweep, 60.0, 180.0,
                              "two_site_serial_dense");
-}
-
-TEST(SnapshotEquivalence, TwoSiteThreadedActiveSet) {
-  expect_restore_equivalence(two_site_text(), 4, SchedulerMode::kActiveSet, 60.0, 180.0,
-                             "two_site_threaded");
 }
 
 TEST(SnapshotEquivalence, TwoSiteAcrossSynchrepLaunch) {
   // t1 sits after the first synchrep launch (interval 900 s), so daemon
   // in-flight cascades cross the checkpoint boundary.
-  expect_restore_equivalence(two_site_text(), 0, SchedulerMode::kActiveSet, 950.0, 1100.0,
+  expect_restore_equivalence(two_site_text(), SchedulerMode::kActiveSet, 950.0, 1100.0,
                              "two_site_synchrep");
 }
 
-TEST(SnapshotEquivalence, ThreeContinentsThreaded) {
-  expect_restore_equivalence(three_continents_text(), 4, SchedulerMode::kActiveSet, 60.0, 150.0,
+TEST(SnapshotEquivalence, ThreeContinents) {
+  expect_restore_equivalence(three_continents_text(), SchedulerMode::kActiveSet, 60.0, 150.0,
                              "three_continents");
 }
 
-TEST(SnapshotEquivalence, RestoresAcrossThreadCountAndScheduler) {
-  // Save on a serial dense-sweep run; restore under a threaded active-set
-  // engine. The fingerprint must still match the uninterrupted run — the
-  // snapshot carries simulation state only, never engine configuration.
+TEST(SnapshotEquivalence, RestoresAcrossScheduler) {
+  // Save on a dense-sweep run; restore under the active-set scheduler. The
+  // fingerprint must still match the uninterrupted run — the snapshot
+  // carries simulation state only, never scheduler configuration.
   const std::string text = two_site_text();
-  const std::uint64_t want = uninterrupted_fp(text, 0, SchedulerMode::kActiveSet, 180.0);
+  const std::uint64_t want = uninterrupted_fp(text, SchedulerMode::kActiveSet, 180.0);
 
-  auto warm = make_sim(text, 0, SchedulerMode::kDenseSweep);
+  auto warm = make_sim(text, SchedulerMode::kDenseSweep);
   warm->run_until_seconds(60.0);
   const std::vector<std::uint8_t> snap = warm->save_state();
 
-  auto resumed = make_sim(text, 4, SchedulerMode::kActiveSet);
+  auto resumed = make_sim(text, SchedulerMode::kActiveSet);
   resumed->load_state(snap);
   resumed->run_until_seconds(180.0);
   EXPECT_EQ(result_fingerprint(*resumed), want);
@@ -129,9 +120,9 @@ TEST(SnapshotEquivalence, CheckpointDoesNotPerturbTheRun) {
   // Taking a mid-run checkpoint and continuing in the *same* simulator must
   // leave the run byte-identical (saving is strictly read-only).
   const std::string text = two_site_text();
-  const std::uint64_t want = uninterrupted_fp(text, 0, SchedulerMode::kActiveSet, 180.0);
+  const std::uint64_t want = uninterrupted_fp(text, SchedulerMode::kActiveSet, 180.0);
 
-  auto sim = make_sim(text, 0, SchedulerMode::kActiveSet);
+  auto sim = make_sim(text, SchedulerMode::kActiveSet);
   sim->run_until_seconds(60.0);
   (void)sim->save_state();
   sim->run_until_seconds(120.0);
@@ -144,11 +135,11 @@ TEST(SnapshotEquivalence, RestoredResaveIsByteIdentical) {
   // save → load into a fresh sim → save again must reproduce the original
   // byte stream exactly (no state is lost or reordered by a round trip).
   const std::string text = two_site_text();
-  auto a = make_sim(text, 0, SchedulerMode::kActiveSet);
+  auto a = make_sim(text, SchedulerMode::kActiveSet);
   a->run_until_seconds(90.0);
   const std::vector<std::uint8_t> first = a->save_state();
 
-  auto b = make_sim(text, 0, SchedulerMode::kActiveSet);
+  auto b = make_sim(text, SchedulerMode::kActiveSet);
   b->load_state(first);
   const std::vector<std::uint8_t> second = b->save_state();
   EXPECT_EQ(first, second);
@@ -159,7 +150,7 @@ TEST(SnapshotEquivalence, WarmStartForking) {
   // are fork-safe knobs (non-structural). Every fork must restore, run to
   // the horizon, and produce a distinct result.
   const std::string base = two_site_text();
-  auto warm = make_sim(base, 0, SchedulerMode::kActiveSet);
+  auto warm = make_sim(base, SchedulerMode::kActiveSet);
   warm->run_until_seconds(120.0);
   const std::vector<std::uint8_t> snap = warm->save_state();
 
@@ -171,7 +162,7 @@ TEST(SnapshotEquivalence, WarmStartForking) {
   };
   std::vector<std::uint64_t> fps;
   for (const std::string& text : forks) {
-    auto fork = make_sim(text, 0, SchedulerMode::kActiveSet);
+    auto fork = make_sim(text, SchedulerMode::kActiveSet);
     fork->load_state(snap);
     EXPECT_DOUBLE_EQ(fork->now_seconds(), warm->now_seconds());
     fork->run_until_seconds(300.0);
@@ -185,21 +176,21 @@ TEST(SnapshotEquivalence, WarmStartForking) {
 
 TEST(SnapshotEquivalence, StructuralMismatchIsRejected) {
   const std::string base = two_site_text();
-  auto warm = make_sim(base, 0, SchedulerMode::kActiveSet);
+  auto warm = make_sim(base, SchedulerMode::kActiveSet);
   warm->run_until_seconds(30.0);
   const std::vector<std::uint8_t> snap = warm->save_state();
 
   // More servers in a tier: different agents — must be rejected.
   {
-    auto fork = make_sim(replaced(base, "tier app 2 4 32", "tier app 3 4 32"), 0,
-                         SchedulerMode::kActiveSet);
+    auto fork =
+        make_sim(replaced(base, "tier app 2 4 32", "tier app 3 4 32"), SchedulerMode::kActiveSet);
     EXPECT_THROW(fork->load_state(snap), std::runtime_error);
   }
   // Different peak population: different slot count — must be rejected.
   {
     auto fork = make_sim(replaced(base, "population CAD@BRANCH BRANCH CAD 20",
                                   "population CAD@BRANCH BRANCH CAD 24"),
-                         0, SchedulerMode::kActiveSet);
+                         SchedulerMode::kActiveSet);
     EXPECT_THROW(fork->load_state(snap), std::runtime_error);
   }
 }

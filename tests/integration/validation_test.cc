@@ -15,8 +15,7 @@ double canonical_duration_s(const std::string& op, double size_mb) {
   opt.stop_launch_s = 0.0;  // no background series
   Scenario scenario = make_validation_scenario(opt);
 
-  HDispatchEngine engine(0, 64);
-  SimulationLoop loop({scenario.tick_seconds, 0}, engine);
+  SimulationLoop loop({scenario.tick_seconds, 0});
   scenario.register_with(loop);
 
   LaunchParams params;
@@ -104,7 +103,6 @@ TEST(ValidationExperiment1, SteadyStateBehaviour) {
 
   SimulatorConfig cfg;
   cfg.collect_every_s = 6.0;
-  cfg.threads = 4;
   GdiSimulator sim(std::move(scenario), cfg);
   sim.run_for(12.0 * 60.0);
 
@@ -150,9 +148,7 @@ TEST(ValidationExperiments, PressureOrdering) {
     opt.experiment = exp;
     opt.stop_launch_s = 8.0 * 60.0;
     Scenario scenario = make_validation_scenario(opt);
-    SimulatorConfig cfg;
-    cfg.threads = 4;
-    GdiSimulator sim(std::move(scenario), cfg);
+    GdiSimulator sim(std::move(scenario));
     sim.run_for(8.0 * 60.0);
     return sim.collector().find("cpu/NA/app")->mean_between(4.0 * 60.0, 8.0 * 60.0);
   };

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "config/builder.h"
-#include "core/engine.h"
 #include "hardware/component.h"
 
 namespace gdisim {
@@ -14,7 +13,6 @@ namespace {
 
 struct FailoverWorld {
   std::unique_ptr<Topology> topology;
-  std::unique_ptr<SerialEngine> engine;
   std::unique_ptr<SimulationLoop> loop;
   DcId na = 0, eu = 0, afr = 0;
 
@@ -34,8 +32,7 @@ struct FailoverWorld {
     na = topology->find_dc("NA");
     eu = topology->find_dc("EU");
     afr = topology->find_dc("AFR");
-    engine = std::make_unique<SerialEngine>();
-    loop = std::make_unique<SimulationLoop>(SimLoopConfig{0.01, 0}, *engine);
+    loop = std::make_unique<SimulationLoop>(SimLoopConfig{0.01, 0});
     topology->register_with(*loop);
   }
 };

@@ -17,7 +17,7 @@ TEST(GdiSimulator, RejectsScenarioWithoutTick) {
 }
 
 TEST(GdiSimulator, RunForAdvancesSimulatedTime) {
-  GdiSimulator sim(small_validation(), SimulatorConfig{6.0, 0, 64});
+  GdiSimulator sim(small_validation(), SimulatorConfig{6.0});
   EXPECT_DOUBLE_EQ(sim.now_seconds(), 0.0);
   sim.run_for(10.0);
   EXPECT_NEAR(sim.now_seconds(), 10.0, sim.scenario().tick_seconds);
@@ -37,7 +37,7 @@ TEST(GdiSimulator, CollectorSamplesAtConfiguredPeriod) {
 }
 
 TEST(GdiSimulator, StandardProbesInstalled) {
-  GdiSimulator sim(small_validation(), SimulatorConfig{6.0, 0, 64});
+  GdiSimulator sim(small_validation(), SimulatorConfig{6.0});
   for (const char* label : {"cpu/NA/app", "cpu/NA/db", "cpu/NA/fs", "cpu/NA/idx",
                             "mem/NA/app", "clients/logged_in", "clients/active"}) {
     EXPECT_NE(sim.collector().find(label), nullptr) << label;
@@ -45,7 +45,7 @@ TEST(GdiSimulator, StandardProbesInstalled) {
 }
 
 TEST(GdiSimulator, AgentsRegisteredWithLoop) {
-  GdiSimulator sim(small_validation(), SimulatorConfig{6.0, 0, 64});
+  GdiSimulator sim(small_validation(), SimulatorConfig{6.0});
   // Components of the validation DC + three series launchers.
   EXPECT_GT(sim.loop().agent_count(), 20u);
   EXPECT_EQ(sim.loop().agent_count(),
@@ -54,7 +54,7 @@ TEST(GdiSimulator, AgentsRegisteredWithLoop) {
 }
 
 TEST(GdiSimulator, WorkIsActuallySimulated) {
-  GdiSimulator sim(small_validation(), SimulatorConfig{6.0, 0, 64});
+  GdiSimulator sim(small_validation(), SimulatorConfig{6.0});
   sim.run_for(4.0 * 60.0);
   std::uint64_t completed = 0;
   for (auto& l : sim.scenario().launchers) {
@@ -64,17 +64,12 @@ TEST(GdiSimulator, WorkIsActuallySimulated) {
   EXPECT_GT(sim.collector().find("cpu/NA/app")->max_value(), 0.01);
 }
 
-TEST(GdiSimulator, ThreadedAndSerialAgree) {
-  auto run = [](std::size_t threads) {
-    GdiSimulator sim(small_validation(), SimulatorConfig{6.0, threads, 64});
-    sim.run_for(3.0 * 60.0);
-    std::uint64_t completed = 0;
-    for (auto& l : sim.scenario().launchers) {
-      for (const auto& [op, stats] : l->stats()) completed += stats.count;
-    }
-    return completed;
-  };
-  EXPECT_EQ(run(0), run(3));
+TEST(GdiSimulator, RejectsNonzeroThreads) {
+  // Runs are serial by construction; a thread count is a configuration error,
+  // not a hint to ignore.
+  SimulatorConfig cfg;
+  cfg.threads = 1;
+  EXPECT_THROW(GdiSimulator sim(small_validation(), cfg), std::invalid_argument);
 }
 
 }  // namespace

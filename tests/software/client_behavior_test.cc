@@ -3,14 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "config/scenarios.h"
-#include "core/h_dispatch.h"
 
 namespace gdisim {
 namespace {
 
 struct ClientWorld {
   Scenario scenario;
-  std::unique_ptr<HDispatchEngine> engine;
   std::unique_ptr<SimulationLoop> loop;
 
   explicit ClientWorld(ClientPopulationConfig cfg) {
@@ -21,8 +19,7 @@ struct ClientWorld {
     cfg.dc = scenario.master_dc;
     scenario.populations.push_back(std::make_unique<ClientPopulation>(
         cfg, *scenario.catalog, *scenario.ctx, clock));
-    engine = std::make_unique<HDispatchEngine>(0, 64);
-    loop = std::make_unique<SimulationLoop>(SimLoopConfig{scenario.tick_seconds, 0}, *engine);
+    loop = std::make_unique<SimulationLoop>(SimLoopConfig{scenario.tick_seconds, 0});
     scenario.register_with(*loop);
   }
 

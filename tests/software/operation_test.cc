@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "config/builder.h"
-#include "core/engine.h"
 #include "core/sim_loop.h"
 
 namespace gdisim {
@@ -15,7 +14,6 @@ constexpr double kTick = 0.01;
 struct MicroWorld {
   std::unique_ptr<Topology> topology;
   std::unique_ptr<OperationContext> ctx;
-  std::unique_ptr<SerialEngine> engine;
   std::unique_ptr<SimulationLoop> loop;
   DcId na = 0, eu = 0;
 
@@ -39,8 +37,7 @@ struct MicroWorld {
     na = topology->find_dc("NA");
     eu = topology->find_dc("EU");
     ctx = std::make_unique<OperationContext>(*topology, na);
-    engine = std::make_unique<SerialEngine>();
-    loop = std::make_unique<SimulationLoop>(SimLoopConfig{kTick, 0}, *engine);
+    loop = std::make_unique<SimulationLoop>(SimLoopConfig{kTick, 0});
     topology->register_with(*loop);
   }
 };

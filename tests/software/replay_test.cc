@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "config/scenarios.h"
-#include "core/h_dispatch.h"
 
 namespace gdisim {
 namespace {
@@ -49,7 +48,6 @@ TEST(WorkloadTrace, LoadRejectsGarbage) {
 
 struct ReplayWorld {
   Scenario scenario;
-  std::unique_ptr<HDispatchEngine> engine;
   std::unique_ptr<SimulationLoop> loop;
   std::unique_ptr<TraceLauncher> launcher;
 
@@ -59,8 +57,7 @@ struct ReplayWorld {
     scenario = make_validation_scenario(opt);
     const TickClock clock(scenario.tick_seconds);
     launcher = std::make_unique<TraceLauncher>(trace, *scenario.catalog, *scenario.ctx, clock);
-    engine = std::make_unique<HDispatchEngine>(0, 64);
-    loop = std::make_unique<SimulationLoop>(SimLoopConfig{scenario.tick_seconds, 0}, *engine);
+    loop = std::make_unique<SimulationLoop>(SimLoopConfig{scenario.tick_seconds, 0});
     scenario.register_with(*loop);
     loop->add_agent(launcher.get());
   }
@@ -101,8 +98,7 @@ TEST(TraceLauncher, RecordThenReplayReproducesOperationMix) {
     cfg.seed = 5;
     auto pop = std::make_unique<ClientPopulation>(cfg, *scenario.catalog, *scenario.ctx, clock);
     pop->set_launch_recorder(trace.recorder());
-    HDispatchEngine engine(0, 64);
-    SimulationLoop loop({scenario.tick_seconds, 0}, engine);
+    SimulationLoop loop({scenario.tick_seconds, 0});
     scenario.register_with(loop);
     loop.add_agent(pop.get());
     loop.run_for_seconds(60.0);

@@ -13,12 +13,13 @@
 #            // ARCHIVE-TRANSIENT, and save/load bodies stay symmetric
 #   isolation tools/lint/gdisim_isolation.py over src/: the agent-isolation
 #            model holds — no cross-agent writes from tick paths, no
-#            unguarded shared state, serial-only fast paths stay gated, and
-#            sync primitives outside src/core/ carry // GDISIM-SHARED reasons
+#            unguarded shared state, and sync primitives outside src/core/
+#            carry // GDISIM-SHARED reasons
 #   tidy     clang-tidy with the repo .clang-tidy profile (skipped with a
 #            notice when clang-tidy is not installed)
-#   smoke    determinism smoke: diff release fingerprints of the consolidated
-#            scenario between a -j1 and a -jN run (builds `release` if needed)
+#   smoke    determinism smoke: diff the release fingerprint of the
+#            consolidated scenario under the active-set scheduler against a
+#            --dense-sweep run (builds `release` if needed)
 #   snapshot checkpoint/restore equivalence: a run that checkpoints mid-flight
 #            and a fresh process that restores the snapshot must both produce
 #            the uninterrupted run's fingerprint (release and audit binaries)
@@ -31,8 +32,8 @@
 #   release/audit/asan/ubsan/tsan   CMake presets: configure + build + ctest
 #
 # Sanitizer suites run the full tier-1 ctest set; on small hosts expect the
-# tsan leg to dominate wall time (the determinism/stress tests run the
-# thread pool hard on purpose).
+# tsan leg to dominate wall time (the Ch. 4 engine and stress tests run
+# their thread pools hard on purpose).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,9 +45,6 @@ fi
 JOBS="${JOBS:-$(nproc)}"
 CTEST_ARGS="${CTEST_ARGS:-}"
 SMOKE_ARGS="${SMOKE_ARGS:---scenario consolidated --hours 1 --scale 0.05}"
-# Worker threads for the smoke step's multi-threaded run; floored at 4 so the
-# determinism check still means something on small/1-CPU CI hosts.
-SMOKE_THREADS="${SMOKE_THREADS:-$(( JOBS > 4 ? JOBS : 4 ))}"
 
 run_preset() {
   local preset="$1"
@@ -110,30 +108,22 @@ run_tidy() {
 }
 
 run_smoke() {
-  echo "=== [smoke] determinism fingerprint: -j1 vs -j$SMOKE_THREADS ==="
+  echo "=== [smoke] determinism fingerprint: active set vs dense sweep ==="
   cmake --preset release >/dev/null
   cmake --build --preset release -j "$JOBS" --target gdisim_run >/dev/null
   local bin=build/tools/gdisim_run
-  local fp1 fpN
+  local fpA fpD
   # shellcheck disable=SC2086
-  fp1=$("$bin" $SMOKE_ARGS --threads 1 --quiet --fingerprint | grep '^fingerprint:')
+  fpA=$("$bin" $SMOKE_ARGS --quiet --fingerprint | grep '^fingerprint:')
   # shellcheck disable=SC2086
-  fpN=$("$bin" $SMOKE_ARGS --threads "$SMOKE_THREADS" --quiet --fingerprint | grep '^fingerprint:')
-  echo "  -j1: $fp1"
-  echo "  -j$SMOKE_THREADS: $fpN"
-  if [ "$fp1" != "$fpN" ]; then
-    echo "smoke: FINGERPRINT MISMATCH — results depend on thread count" >&2
-    return 1
-  fi
-  # shellcheck disable=SC2086
-  local fpD
-  fpD=$("$bin" $SMOKE_ARGS --threads "$SMOKE_THREADS" --quiet --fingerprint --dense-sweep | grep '^fingerprint:')
-  echo "  dense: $fpD"
-  if [ "$fp1" != "$fpD" ]; then
+  fpD=$("$bin" $SMOKE_ARGS --quiet --fingerprint --dense-sweep | grep '^fingerprint:')
+  echo "  active: $fpA"
+  echo "  dense:  $fpD"
+  if [ "$fpA" != "$fpD" ]; then
     echo "smoke: FINGERPRINT MISMATCH — active-set scheduler diverges from dense sweep" >&2
     return 1
   fi
-  echo "smoke: fingerprints identical across thread counts and scheduler modes"
+  echo "smoke: fingerprints identical across scheduler modes"
 }
 
 snapshot_check() {
@@ -217,13 +207,13 @@ EOF
 
 run_tsan() {
   run_preset tsan
-  # Pin the serial<->parallel transition chain under -fsanitize=thread even
-  # when CTEST_ARGS filtered it out of the main pass: crossing thread-count
-  # boundaries through checkpoints is exactly where the engine-serial fast
-  # path would race if the isolation model were wrong.
-  echo "--- [tsan] serial<->parallel transition chain ---"
-  # shellcheck disable=SC2086
-  ctest --preset tsan -j "$JOBS" -R 'SerialTransition' --output-on-failure
+  # Pin the suites that actually start threads — the Ch. 4 engines, the
+  # dispatcher/port/coordination runtime and their stress tests — under
+  # -fsanitize=thread even when CTEST_ARGS filtered them out of the main
+  # pass. Scenario runs are single-threaded and have nothing to race.
+  echo "--- [tsan] Ch. 4 engine, dispatcher, coordination and stress suites ---"
+  ctest --preset tsan -j "$JOBS" --output-on-failure \
+      -R '^(AllEngines|[A-Za-z]*Engine|[A-Za-z]*Stress|Dispatcher|Port|[A-Za-z]*Receiver|Interleave|Choice)[./]'
 }
 
 run_sanitize_snapshot() {

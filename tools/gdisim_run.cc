@@ -8,7 +8,6 @@
 //   --experiment 1|2|3       validation series frequencies (default 1)
 //   --hours H                simulated horizon (default 24; validation: 38 min)
 //   --scale S                population/hardware scale (default 0.1)
-//   --threads N              worker threads (default 0: serial)
 //   --seed N                 run seed (default 42)
 //   --csv PATH               dump every collector series as CSV
 //   --dense-sweep            disable active-set scheduling (reference oracle)
@@ -57,7 +56,6 @@ struct CliOptions {
   double hours = -1.0;
   double scale = 0.10;
   bool scale_set = false;
-  std::size_t threads = 0;
   std::uint64_t seed = 42;
   std::string csv_path;
   bool dense_sweep = false;
@@ -72,7 +70,7 @@ struct CliOptions {
 
 [[noreturn]] void usage() {
   std::cerr << "usage: gdisim_run [--scenario validation|consolidated|multimaster | --config FILE]\n"
-               "       [--experiment 1|2|3] [--hours H] [--scale S] [--threads N] [--seed N]\n"
+               "       [--experiment 1|2|3] [--hours H] [--scale S] [--seed N]\n"
                "       [--csv PATH] [--dense-sweep] [--quiet] [--fingerprint] [--validate]\n"
                "       [--checkpoint PATH] [--checkpoint-every S] [--restore PATH]\n"
                "       [--tick-profile PATH]\n";
@@ -126,8 +124,6 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--scale") {
       opt.scale = parse_number<double>(arg, next(), positive);
       opt.scale_set = true;
-    } else if (arg == "--threads") {
-      opt.threads = parse_number<std::size_t>(arg, next(), any);
     } else if (arg == "--seed") {
       opt.seed = parse_number<std::uint64_t>(arg, next(), any);
     } else if (arg == "--csv") {
@@ -252,9 +248,7 @@ int run(const CliOptions& opt) {
     // offending token, so a bad config fails here with an editor-friendly
     // message instead of minutes into a run.
     Scenario scenario = make_scenario(opt);
-    SimulatorConfig cfg;
-    cfg.threads = 0;
-    GdiSimulator sim(std::move(scenario), cfg);
+    GdiSimulator sim(std::move(scenario));
     std::cout << "config OK: " << (opt.config_path.empty() ? opt.scenario : opt.config_path)
               << ": " << sim.loop().agent_count() << " agents, "
               << sim.scenario().populations.size() << " populations, "
@@ -269,12 +263,11 @@ int run(const CliOptions& opt) {
 
   std::cout << "GDISim: scenario="
             << (opt.config_path.empty() ? opt.scenario : opt.config_path) << " hours=" << opt.hours
-            << " scale=" << opt.scale << " threads=" << opt.threads << " seed=" << opt.seed
+            << " scale=" << opt.scale << " seed=" << opt.seed
             << "\n";
 
   Scenario scenario = make_scenario(opt);
   SimulatorConfig cfg;
-  cfg.threads = opt.threads;
   cfg.collect_every_s = opt.scenario == "validation" ? 6.0 : 30.0;
   if (opt.dense_sweep) cfg.scheduler = SchedulerMode::kDenseSweep;
   GdiSimulator sim(std::move(scenario), cfg);
@@ -327,8 +320,8 @@ int run(const CliOptions& opt) {
 
   if (opt.fingerprint) {
     // Stable digest of the run's observable results. CI's determinism smoke
-    // step (tools/ci.sh smoke) diffs this line between -j1 and -jN runs; any
-    // mismatch is a thread-count-dependent divergence.
+    // step (tools/ci.sh smoke) diffs this line between the active-set
+    // scheduler and --dense-sweep; any mismatch is a scheduler divergence.
     std::cout << "fingerprint: " << std::hex << result_fingerprint(sim) << std::dec << "\n";
   }
 

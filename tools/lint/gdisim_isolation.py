@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
 """gdisim concurrency-isolation analyzer.
 
-Statically proves the engine's agent-isolation model — the discipline that
-makes parallel tick execution and the engine-serial fast path sound. The
-model (DESIGN.md "Concurrency model"):
+Statically proves the simulator's agent-isolation model (DESIGN.md
+"Concurrency model"). Scenario runs are serial, so the model no longer
+guards against data races there; it guards the §4.3.3 consistency rule and
+the equivalence of the dense sweep and the active-set scheduler, which both
+rest on results not depending on the order in which agents run:
 
   * during the tick phase each agent may mutate only its own state; all
-    cross-agent effects travel through ``Inbox::post`` / port APIs;
-  * genuinely shared mutable state (dispatcher handshakes, wake calendar,
-    metric counters) must be atomic, lock-guarded, or explicitly sanctioned
-    with ``// GDISIM-SHARED: <reason>``;
-  * state whose synchronization is conditionally dropped by the
-    engine-serial hint (``set_serial`` / ``on_engine_serial``) may only be
-    touched behind the serial gate, under the shard lock, via atomic
-    accessors, or at sites annotated ``// GDISIM-SERIAL-OK: <reason>``;
-  * new synchronization primitives outside ``src/core/`` must carry a
+    cross-agent effects travel through ``Inbox::post`` / port APIs, whose
+    drains sort deliveries into a canonical order;
+  * mutable static or global state outlives one simulator (tests and
+    examples build several per process) and is reachable from the Ch. 4
+    engine threads, so it must be atomic, lock-guarded, or explicitly
+    sanctioned with ``// GDISIM-SHARED: <reason>``;
+  * synchronization primitives belong to the Ch. 4 runtime in
+    ``src/core/``; one anywhere else must carry a
     ``// GDISIM-SHARED: <reason>`` so the concurrency inventory stays
     auditable.
 
@@ -27,22 +28,17 @@ Rules:
   gdisim-unguarded-shared       mutable static or namespace-scope global
                                 that is neither const, atomic, thread_local
                                 nor annotated GDISIM-SHARED
-  gdisim-serial-only            member whose synchronization the serial
-                                fast path drops, touched without checking
-                                the gate / taking the lock / atomic access
   gdisim-raw-sync               atomic/mutex/spinlock declaration outside
                                 src/core/ without a GDISIM-SHARED
                                 annotation
   gdisim-thread-local-buffer    a thread_local declaration without a
-                                GDISIM-SHARED annotation; per-thread staging
-                                buffers (the deferred-post dirty lists, the
-                                shard-id counter) hand their contents to
-                                another thread at phase barriers, so they
-                                are part of the auditable shared-state
-                                inventory even though no lock guards them
+                                GDISIM-SHARED annotation; per-thread storage
+                                is state another thread may hand off or
+                                read, so it is part of the auditable
+                                shared-state inventory even though no lock
+                                guards it
   gdisim-isolation-annotation-no-reason
-                                a GDISIM-SHARED / GDISIM-SERIAL-OK
-                                annotation without a reason
+                                a GDISIM-SHARED annotation without a reason
   gdisim-nolint-reason          a NOLINT covering gdisim rules without a
                                 reason (shared with the sibling analyzers)
 
@@ -50,7 +46,6 @@ Annotations are structured comments on the declaration line or the line
 above::
 
     std::atomic<long> hits_{0};   // GDISIM-SHARED: relaxed metrics counter
-    int cache_size() const;       // GDISIM-SERIAL-OK: engine paused here
 
 ``// NOLINT(gdisim-<rule>) <reason>`` suppressions work as in gdisim_lint.
 
@@ -80,34 +75,28 @@ RULES = {
     "gdisim-cross-agent-write": {
         "message": "tick-phase code writes through a pointer/reference to "
         "another agent's state; cross-agent effects must go through "
-        "Inbox::post or a port API so parallel ticks stay race-free",
+        "Inbox::post or a port API so results do not depend on agent order "
+        "(the §4.3.3 consistency rule, dense/active-set equivalence)",
     },
     "gdisim-unguarded-shared": {
-        "message": "mutable static/global shared state without "
-        "synchronization: make it atomic or lock-guarded, or sanction it "
-        "with // GDISIM-SHARED: <reason>",
-    },
-    "gdisim-serial-only": {
-        "message": "member whose synchronization the engine-serial fast "
-        "path drops is touched without checking the serial gate, holding "
-        "the lock, or using atomic accessors; annotate the site with "
-        "// GDISIM-SERIAL-OK: <reason> if it provably runs single-threaded",
+        "message": "mutable static/global state without synchronization "
+        "outlives one simulator and is reachable from the Ch. 4 engine "
+        "threads: make it atomic or lock-guarded, or sanction it with "
+        "// GDISIM-SHARED: <reason>",
     },
     "gdisim-raw-sync": {
-        "message": "synchronization primitive declared outside src/core/: "
-        "keep the concurrency inventory auditable with "
-        "// GDISIM-SHARED: <reason>",
+        "message": "synchronization primitive declared outside src/core/, "
+        "where the simulation is single-threaded: keep the concurrency "
+        "inventory auditable with // GDISIM-SHARED: <reason>",
     },
     "gdisim-thread-local-buffer": {
         "message": "thread_local declaration without a GDISIM-SHARED "
-        "annotation: per-thread staging buffers (deferred-post dirty "
-        "lists, shard ids) are read by other threads at phase barriers, "
-        "so state why the handoff is sound (// GDISIM-SHARED: <reason>)",
+        "annotation: per-thread storage is handed to or read by other "
+        "threads, so state why that is sound (// GDISIM-SHARED: <reason>)",
     },
     "gdisim-isolation-annotation-no-reason": {
-        "message": "GDISIM-SHARED / GDISIM-SERIAL-OK without a reason: "
-        "state why the shared access is sound "
-        "(// GDISIM-SHARED: <reason>)",
+        "message": "GDISIM-SHARED without a reason: state why the shared "
+        "access is sound (// GDISIM-SHARED: <reason>)",
     },
     common.NOLINT_REASON_RULE: {
         "message": common.NOLINT_REASON_MESSAGE,
@@ -118,11 +107,6 @@ RULES = {
 # the set to helpers those entries call.
 TICK_ENTRIES = {"on_tick", "on_interactions", "advance_tick", "accept",
                 "next_wake_tick", "on_run_complete"}
-
-# The engine-serial gate tokens (Inbox::serial_, SimulationLoop's
-# engine_serial_ mirror). Word-bounded so e.g. serial_hint_state_ does not
-# count as a gate check.
-_GATE = re.compile(r"\b(?:engine_)?serial_(?![\w])")
 
 _ASSIGN_OP = r"(?:=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)"
 
@@ -137,15 +121,7 @@ _SYNC_DECL = re.compile(
     + _SYNC_PRIM)
 _SYNC_ANYWHERE = re.compile(_SYNC_PRIM)
 
-# Lock-holding idioms that make a touch synchronized.
-_LOCKED = re.compile(r"lock_guard|unique_lock|scoped_lock|shared_lock|"
-                     r"\.lock\s*\(|\block\b")
-
-_ATOMIC_ACCESS = re.compile(
-    r"\s*(?:\[[^][]*\]\s*)?\.\s*(?:load|store|fetch_\w+|exchange|"
-    r"compare_exchange\w*|wait|notify_\w+)\s*\(")
-
-_ANN_TOKEN = re.compile(r"GDISIM-(SHARED|SERIAL-OK)(?![\w-])")
+_ANN_TOKEN = re.compile(r"GDISIM-(SHARED)(?![\w-])")
 
 _CTRL_NAMES = {"if", "for", "while", "switch", "catch", "return", "sizeof",
                "alignof", "alignas", "decltype", "static_assert", "assert",
@@ -391,64 +367,6 @@ def _cross_agent_findings(code, start, end, offsets, raw_lines, rel,
     return findings
 
 
-def _serial_only_findings(code, start, end, offsets, raw_lines, rel) -> list[dict]:
-    """gdisim-serial-only inside one serial-gated class region."""
-    region = code[start:end]
-    if not (re.search(r"\bvoid\s+set_serial\s*\(", region)
-            or re.search(r"\b(?:engine_)?serial_\s*[={;]", region)):
-        return []
-
-    # Members referenced inside branches conditioned on the serial gate —
-    # exactly the state whose synchronization the fast path drops.
-    gated: set[str] = set()
-    for m in re.finditer(r"\bif\s*\(", region):
-        pe = common.balanced(region, m.end() - 1)
-        if pe < 0 or not _GATE.search(region[m.end():pe - 1]):
-            continue
-        j = pe
-        while j < len(region) and region[j] in " \t\n":
-            j += 1
-        if j < len(region) and region[j] == "{":
-            be = common.balanced(region, j, "{", "}")
-            blk = region[j:be] if be > 0 else region[j:j + 200]
-        else:
-            semi = region.find(";", j)
-            blk = region[j:semi + 1] if semi >= 0 else region[j:j + 200]
-        gated |= set(re.findall(r"\b[A-Za-z]\w*_(?![\w])", blk))
-    gated -= {"serial_", "engine_serial_"}
-    if not gated:
-        return []
-
-    findings = []
-    rule = "gdisim-serial-only"
-    methods = _methods_in(code, start, end)
-    for name, insts in methods.items():
-        if name == "set_serial":
-            continue
-        for _params, bo, be in insts:
-            body = code[bo:be]
-            if _GATE.search(body) or _LOCKED.search(body):
-                continue
-            sig_line = common.line_of(offsets, bo)
-            if _annotated(raw_lines, sig_line, "SERIAL-OK"):
-                continue
-            flagged = set()
-            for gm in sorted(gated):
-                for m in re.finditer(r"\b" + re.escape(gm) + r"(?![\w])",
-                                     body):
-                    if _ATOMIC_ACCESS.match(body, m.end()):
-                        continue
-                    lineno = common.line_of(offsets, bo + m.start())
-                    if _annotated(raw_lines, lineno, "SERIAL-OK"):
-                        continue
-                    if (lineno, gm) in flagged:
-                        continue
-                    flagged.add((lineno, gm))
-                    findings.append(_finding(rel, lineno, rule, raw_lines))
-                    break  # one finding per member per method
-    return findings
-
-
 def _unguarded_shared_findings(code_lines, raw_lines, rel) -> list[dict]:
     findings = []
     rule = "gdisim-unguarded-shared"
@@ -476,10 +394,9 @@ def _unguarded_shared_findings(code_lines, raw_lines, rel) -> list[dict]:
 
 def _thread_local_findings(code_lines, raw_lines, rel) -> list[dict]:
     """gdisim-thread-local-buffer: every thread_local declaration must be
-    sanctioned. Unlike raw-sync this applies inside src/core/ too — the
-    deferred-post staging buffers live there, and they are exactly the
-    pattern the rule exists for: storage written by one thread and consumed
-    by the master at a phase barrier."""
+    sanctioned. Unlike raw-sync this applies inside src/core/ too: per-thread
+    storage there belongs to the Ch. 4 runtime, whose threads hand work to
+    one another."""
     findings = []
     rule = "gdisim-thread-local-buffer"
     for lineno, line in enumerate(code_lines, start=1):
@@ -599,8 +516,6 @@ def scan_file(path: str, rel: str, agent_types: set[str]) -> list[dict]:
         if name in agent_types:
             findings += _cross_agent_findings(
                 code, start, end, offsets, raw_lines, rel, agent_types)
-        findings += _serial_only_findings(
-            code, start, end, offsets, raw_lines, rel)
     return findings
 
 
