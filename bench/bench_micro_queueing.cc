@@ -6,7 +6,6 @@
 #include "core/h_dispatch.h"
 #include "core/scatter_gather.h"
 #include "queueing/fcfs_queue.h"
-#include "queueing/fork_join.h"
 #include "queueing/ps_queue.h"
 
 namespace gdisim {
@@ -37,17 +36,6 @@ void BM_PsAdvance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * jobs);
 }
 BENCHMARK(BM_PsAdvance)->Arg(16)->Arg(256);
-
-void BM_ForkJoinAdvance(benchmark::State& state) {
-  ForkJoinQueue q(static_cast<unsigned>(state.range(0)), 1e8);
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (int i = 0; i < 64; ++i) q.enqueue(1e6, nullptr);
-    state.ResumeTiming();
-    while (q.total_jobs() > 0) benchmark::DoNotOptimize(q.advance(0.001));
-  }
-}
-BENCHMARK(BM_ForkJoinAdvance)->Arg(2)->Arg(12)->Arg(40);
 
 void BM_IdleTick(benchmark::State& state) {
   // The cost of ticking an idle queue — the dominant operation in off-peak

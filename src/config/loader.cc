@@ -11,7 +11,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 #include <vector>
+
+#include "software/catalog.h"
 
 namespace gdisim {
 
@@ -121,6 +124,32 @@ std::vector<Line> tokenize(std::istream& is, const std::string& source) {
   return lines;
 }
 
+std::string number(double v) {
+  std::ostringstream os;
+  os << v;
+  return os.str();
+}
+
+/// What a run would otherwise discover mid-flight: every message of `spec`,
+/// launched from `origin`, must resolve to a tier and have a route. Fails at
+/// `line`, naming `who`.
+void require_resolvable(OperationContext& ctx, const CascadeSpec& spec, DcId origin,
+                        const std::string& source, int line, const std::string& who) {
+  try {
+    for (const Step& step : spec.steps) {
+      for (const Sequence& seq : step.branches) {
+        for (const MessageSpec& msg : seq.messages) {
+          const DcId from = ctx.resolve(msg.from, origin, kInvalidDc, 0).dc;
+          const DcId to = ctx.resolve(msg.to, origin, kInvalidDc, 0).dc;
+          ctx.topology().route(from, to);
+        }
+      }
+    }
+  } catch (const std::logic_error& e) {
+    fail(source, line, who + " cannot run: " + e.what());
+  }
+}
+
 struct PopulationDecl {
   ClientPopulationConfig cfg;
   std::string dc_name;
@@ -160,6 +189,7 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
   std::vector<GrowthDecl> growths;
   std::map<std::string, std::pair<double, double>> dc_hours;  // optional per-DC window
   std::vector<std::string> dc_names;  // declared so far, in order
+  std::map<std::pair<std::string, std::string>, int> link_lines;  // unordered pair -> line
   // (line, token index) of datacenter names resolved once parsing is done.
   std::vector<std::pair<const Line*, std::size_t>> dc_refs;
   auto declared = [&dc_names](const std::string& name) {
@@ -232,6 +262,12 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
           fail(line, head + " references unknown datacenter '" + line.tokens[side] + "'");
         }
       }
+      const auto [a, b] = std::minmax(line.tokens[1], line.tokens[2]);
+      if (a == b) fail(line, head + " joins datacenter '" + a + "' to itself");
+      if (const auto [it, fresh] = link_lines.emplace(std::make_pair(a, b), line.number); !fresh) {
+        fail(line, "duplicate link between '" + a + "' and '" + b + "' (first at line " +
+                       std::to_string(it->second) + ")");
+      }
       LinkNotation ln;
       ln.gbps = positive(line, 3, head + " bandwidth");
       ln.latency_ms = non_negative(line, 4, head + " latency");
@@ -251,6 +287,10 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
       decl.dc_name = line.tokens[2];
       decl.app = line.tokens[3];
       decl.peak = positive(line, 4, "population peak");
+      if (!(decl.peak * scale <= ClientPopulation::kMaxPeak)) {
+        fail(line, "population peak must be <= " + std::to_string(ClientPopulation::kMaxPeak) +
+                       " clients at scale " + number(scale) + ", got '" + line.tokens[4] + "'");
+      }
       decl.cfg.think_time_mean_s = 30.0;
       decl.cfg.file_size_mb = 25.0;
       populations.push_back(decl);
@@ -340,6 +380,10 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
                          : WorkloadCurve::constant(peak);
     s.populations.push_back(
         std::make_unique<ClientPopulation>(decl.cfg, *s.catalog, *s.ctx, clock));
+    for (const std::string& op : ops) {
+      require_resolvable(*s.ctx, s.catalog->get(op), dc, source, decl.line,
+                         "population '" + decl.cfg.name + "'");
+    }
   }
 
   for (const GrowthDecl& decl : growths) {
@@ -362,6 +406,13 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
     cfg.interval_s = decl.seconds;
     cfg.participant_dcs = all_dcs;
     cfg.seed = seed;
+    // A synchrep pulls from and pushes to every other data center.
+    std::vector<std::pair<DcId, double>> others;
+    for (DcId d : all_dcs) {
+      if (d != cfg.home_dc) others.emplace_back(d, 1.0);
+    }
+    require_resolvable(*s.ctx, make_synchrep_cascade(cfg.home_dc, others, others), cfg.home_dc,
+                       source, decl.line, "synchrep " + decl.dc);
     s.synchreps.push_back(std::make_unique<SynchRepDaemon>(cfg, s.growth, AccessPatternMatrix(),
                                                            *s.ctx, clock));
   }
@@ -372,6 +423,8 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
     cfg.delay_after_completion_s = decl.seconds;
     cfg.producer_dcs = all_dcs;
     cfg.seed = seed;
+    require_resolvable(*s.ctx, make_indexbuild_cascade(cfg.home_dc, 1.0, cfg.index_parallelism),
+                       cfg.home_dc, source, decl.line, "indexbuild " + decl.dc);
     s.indexbuilds.push_back(std::make_unique<IndexBuildDaemon>(cfg, s.growth,
                                                                AccessPatternMatrix(), *s.ctx,
                                                                clock));

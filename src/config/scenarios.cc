@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
 
 namespace gdisim {
 
@@ -190,8 +193,17 @@ constexpr double kPdmPeak[kNumDcs] = {600, 500, 160, 120, 40, 100, 40};
 // Peak data growth MB/h at scale 1.0 (shape of Figure 6-10).
 constexpr double kGrowthPeak[kNumDcs] = {14000, 10100, 3900, 2000, 700, 2000, 700};
 
+/// `base * scale`, rounded, at least 1. A scale that pushes a core or disk
+/// count past unsigned range fails instead of wrapping.
 unsigned scaled_count(double base, double scale) {
-  return std::max(1u, static_cast<unsigned>(std::lround(base * scale)));
+  const double count = std::round(base * scale);
+  if (!(count <= std::numeric_limits<unsigned>::max())) {
+    std::ostringstream why;
+    why << "scale " << scale << " overflows a core or disk count: " << base << " x " << scale
+        << " > " << std::numeric_limits<unsigned>::max();
+    throw std::invalid_argument(why.str());
+  }
+  return std::max(1u, static_cast<unsigned>(count));
 }
 
 /// WAN blueprint shared by Ch. 6 and Ch. 7 (Figure 6-4): 155 Mbps trunk

@@ -12,8 +12,6 @@ const char* category_name(Category c) {
       return "fcfs";
     case Category::kPsJob:
       return "ps";
-    case Category::kForkJoinJob:
-      return "fork_join";
     case Category::kRaidJob:
       return "raid";
     case Category::kSanJob:

@@ -28,9 +28,8 @@ namespace gdisim::audit {
 enum class Category : unsigned {
   kFcfsJob = 0,   ///< jobs through FcfsMultiServerQueue
   kPsJob,         ///< jobs through PsQueue
-  kForkJoinJob,   ///< joins through ForkJoinQueue
-  kRaidJob,       ///< RAID pipeline jobs (dacc + fork-join)
-  kSanJob,        ///< SAN pipeline jobs
+  kRaidJob,       ///< RAID disk-array jobs (dacc, then the per-disk fork-join)
+  kSanJob,        ///< SAN disk-array jobs
   kOperation,     ///< OperationInstance cascades
   kCount
 };

@@ -20,6 +20,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/agent.h"
@@ -76,35 +79,6 @@ inline void archive_stage_job(StateArchive& ar, HandlerRegistry& reg, StageJob& 
   std::uint32_t parallelism = job.parallelism;
   ar.u32(parallelism);
   job.parallelism = parallelism;
-}
-
-/// Shared discipline archiver for single-queue components whose JobCtx is a
-/// pool-owned StageJob copy (NIC, switch, link). The job table is streamed
-/// in queue-enumeration order, so the ctx code for each queued job is simply
-/// its enumeration position — stable, dense, and address-free.
-template <typename Queue>
-void archive_stagejob_queue(StateArchive& ar, HandlerRegistry& reg, Queue& queue,
-                            JobPool<StageJob>& pool) {
-  if (ar.writing()) {
-    std::vector<StageJob*> order;
-    queue.for_each_ctx([&order](JobCtx ctx) { order.push_back(static_cast<StageJob*>(ctx)); });
-    std::size_t n = order.size();
-    ar.size_value(n);
-    for (StageJob* job : order) archive_stage_job(ar, reg, *job);
-    std::uint64_t next = 0;
-    queue.archive_state(ar, [&next](JobCtx) { return next++; }, {});
-  } else {
-    std::size_t n = 0;
-    ar.size_value(n);
-    std::vector<JobCtx> loaded;
-    loaded.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      StageJob job;
-      archive_stage_job(ar, reg, job);
-      loaded.push_back(pool.create(job));
-    }
-    queue.archive_state(ar, {}, [&loaded](std::uint64_t idx) { return loaded.at(idx); });
-  }
 }
 
 class Component : public Agent {
@@ -244,6 +218,130 @@ class Component : public Agent {
   double instant_fraction_ = 0.0;
   double window_accum_ = 0.0;
   Tick window_start_tick_ = 0;
+};
+
+/// In-flight work at a queue-backed station: the routed stage plus the
+/// number of its shares still queued. The discipline queues reference the
+/// record once per share — a CPU parallel job once per core, a disk-array
+/// fork once per disk — and the job completes when its last share finishes.
+struct PendingJob {
+  StageJob stage;
+  unsigned outstanding = 1;
+};
+
+/// Base of every queue-backed station (NIC, switch, link, CPU, disk arrays):
+/// owns the pool of PendingJob records its queues carry as contexts, retires
+/// shares as the queues finish them, and archives the records with one
+/// codec.
+class QueueStation : public Component {
+ protected:
+  /// Record for an accepted stage that the caller enqueues `shares` times.
+  PendingJob* admit(const StageJob& job, unsigned shares) {
+    return jobs_.create(PendingJob{job, shares});
+  }
+
+  /// Retires one finished share of the job `ctx` points at. The last share
+  /// reports the stage complete and frees the record; returns whether it did.
+  bool finish_share(JobCtx ctx, Tick now) {
+    auto* job = static_cast<PendingJob*>(ctx);
+    GDISIM_AUDIT_CHECK(job->outstanding > 0, "QueueStation: share finished with none outstanding");
+    if (--job->outstanding > 0) return false;
+    job->stage.handler->on_stage_complete(*this, now, job->stage.tag);
+    jobs_.destroy(job);
+    return true;
+  }
+
+  /// Accepted jobs not yet complete.
+  std::size_t live_jobs() const { return jobs_.live(); }
+
+  /// Snapshot codec for the records the station's queues reference.
+  /// `for_each_queue(visit)` calls visit(queue) on every discipline queue in
+  /// a fixed order. Layout: the job table (count, then each record's stage
+  /// and outstanding count) in first-encounter order over the queues, then
+  /// each queue with every context written as its table index. Reading
+  /// drops the records the queues held before and rebuilds the table ahead
+  /// of the queue entries that point into it.
+  template <typename ForEachQueue>
+  void archive_jobs(StateArchive& ar, HandlerRegistry& reg, ForEachQueue&& for_each_queue) {
+    ar.section("jobs");
+    std::vector<PendingJob*> table;
+    std::unordered_map<PendingJob*, std::uint64_t> index;  // NOLINT(gdisim-ptr-key-decl) archive-local lookup; never iterated
+    if (ar.writing()) {
+      for_each_queue([&](const auto& queue) {
+        queue.for_each_ctx([&](JobCtx ctx) {
+          auto* job = static_cast<PendingJob*>(ctx);
+          if (index.emplace(job, table.size()).second) table.push_back(job);
+        });
+      });
+    } else {
+      jobs_.release_all();
+    }
+    std::size_t n = table.size();
+    ar.size_value(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (ar.reading()) table.push_back(jobs_.create(PendingJob{}));
+      archive_stage_job(ar, reg, table[i]->stage);
+      std::uint32_t outstanding = table[i]->outstanding;
+      ar.u32(outstanding);
+      table[i]->outstanding = outstanding;
+    }
+    const JobCtxEncoder enc = [&index](JobCtx ctx) {
+      return index.at(static_cast<PendingJob*>(ctx));
+    };
+    std::vector<unsigned> entries(ar.reading() ? n : 0, 0);  // queue entries per loaded record
+    const JobCtxDecoder dec = [&table, &entries](std::uint64_t i) -> JobCtx {
+      if (i >= table.size()) {
+        throw std::runtime_error("snapshot: queue entry refers to job " + std::to_string(i) +
+                                 " of a " + std::to_string(table.size()) + "-job table");
+      }
+      ++entries[i];
+      return table[i];
+    };
+    for_each_queue([&](auto& queue) { queue.archive_state(ar, enc, dec); });
+    // Between ticks every outstanding share is exactly one queue entry.
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      if (entries[i] != table[i]->outstanding) {
+        throw std::runtime_error("snapshot: job " + std::to_string(i) + " has " +
+                                 std::to_string(table[i]->outstanding) +
+                                 " outstanding shares but " + std::to_string(entries[i]) +
+                                 " queue entries");
+      }
+    }
+  }
+
+  /// Completion scratch every advance reuses, so a busy station does not
+  /// allocate per tick.
+  std::vector<JobCtx> completed_;  // ARCHIVE-TRANSIENT: per-tick scratch; drained before the tick ends
+
+ private:
+  JobPool<PendingJob> jobs_;
+};
+
+/// The station body NIC, switch and link share: one discipline queue, one
+/// share per job.
+template <typename Queue>
+class SingleQueueStation : public QueueStation {
+ public:
+  std::size_t queue_length() const override { return queue_.total_jobs(); }
+
+ protected:
+  /// Constructs the queue in place from `queue_args`.
+  template <typename... QueueArgs>
+  explicit SingleQueueStation(QueueArgs... queue_args) : queue_(queue_args...) {}
+
+  double raw_utilization() const override { return queue_.last_utilization(); }
+  void accept(StageJob job) override { queue_.enqueue(job.work, admit(job, 1)); }
+
+  void advance_tick(Tick now, double dt) override {
+    queue_.advance(dt, completed_);
+    for (JobCtx ctx : completed_) finish_share(ctx, now);
+  }
+
+  void archive_discipline(StateArchive& ar, HandlerRegistry& reg) override {
+    archive_jobs(ar, reg, [this](auto&& visit) { visit(queue_); });
+  }
+
+  Queue queue_;
 };
 
 }  // namespace gdisim

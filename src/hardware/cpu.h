@@ -33,7 +33,7 @@ struct CpuSpec {
   unsigned total_cores() const { return sockets * cores_per_socket; }
 };
 
-class CpuComponent final : public Component {
+class CpuComponent final : public QueueStation {
  public:
   explicit CpuComponent(const CpuSpec& spec);
 
@@ -53,15 +53,8 @@ class CpuComponent final : public Component {
   void archive_discipline(StateArchive& ar, HandlerRegistry& reg) override;
 
  private:
-  struct PendingJob {
-    StageJob stage;
-    unsigned outstanding = 1;  ///< shares still in service (>1 for parallel jobs)
-  };
-
   CpuSpec spec_;  // ARCHIVE-TRANSIENT: hardware spec; construction-time configuration
   std::vector<FcfsMultiServerQueue> sockets_;
-  JobPool<PendingJob> pool_;
-  std::vector<JobCtx> completed_;  // ARCHIVE-TRANSIENT: per-tick scratch; drained before the tick ends
   double last_utilization_ = 0.0;
 };
 

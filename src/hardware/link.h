@@ -3,8 +3,6 @@
 // simultaneous transfers; latency is added to each task's processing time.
 #pragma once
 
-#include <memory>
-
 #include "hardware/component.h"
 #include "queueing/ps_queue.h"
 
@@ -20,14 +18,13 @@ struct LinkSpec {
   double allocated_fraction = 1.0;
 };
 
-class LinkComponent final : public Component {
+class LinkComponent final : public SingleQueueStation<PsQueue> {
  public:
   explicit LinkComponent(const LinkSpec& spec)
-      : spec_(spec),
-        queue_(spec.bandwidth_bps * spec.allocated_fraction, spec.max_concurrent,
-               spec.latency_seconds) {}
+      : SingleQueueStation(spec.bandwidth_bps * spec.allocated_fraction,
+                           spec.max_concurrent, spec.latency_seconds),
+        spec_(spec) {}
 
-  std::size_t queue_length() const override { return queue_.total_jobs(); }
   const LinkSpec& spec() const { return spec_; }
   std::size_t active_transfers() const { return queue_.active(); }
   std::uint64_t completed_transfers() const { return queue_.completed_jobs(); }
@@ -35,29 +32,8 @@ class LinkComponent final : public Component {
     return spec_.bandwidth_bps * spec_.allocated_fraction;
   }
 
- protected:
-  double raw_utilization() const override { return queue_.last_utilization(); }
-  void accept(StageJob job) override { queue_.enqueue(job.work, pool_.create(job)); }
-
-  void advance_tick(Tick now, double dt) override {
-    queue_.advance(dt, completed_);
-    for (JobCtx ctx : completed_) {
-      StageJob* job = static_cast<StageJob*>(ctx);
-      job->handler->on_stage_complete(*this, now, job->tag);
-      pool_.destroy(job);
-    }
-  }
-
-  void archive_discipline(StateArchive& ar, HandlerRegistry& reg) override {
-    ar.section("link");
-    archive_stagejob_queue(ar, reg, queue_, pool_);
-  }
-
  private:
   LinkSpec spec_;  // ARCHIVE-TRANSIENT: hardware spec; construction-time configuration
-  PsQueue queue_;
-  JobPool<StageJob> pool_;
-  std::vector<JobCtx> completed_;  // ARCHIVE-TRANSIENT: per-tick scratch; drained before the tick ends
 };
 
 }  // namespace gdisim

@@ -2,8 +2,6 @@
 // Typically an order of magnitude faster than a NIC.
 #pragma once
 
-#include <memory>
-
 #include "hardware/component.h"
 #include "queueing/fcfs_queue.h"
 
@@ -13,37 +11,16 @@ struct SwitchSpec {
   double rate_bps = 1e10;  ///< bits per second
 };
 
-class SwitchComponent final : public Component {
+class SwitchComponent final : public SingleQueueStation<FcfsMultiServerQueue> {
  public:
-  explicit SwitchComponent(const SwitchSpec& spec) : spec_(spec), queue_(1, spec.rate_bps) {}
+  explicit SwitchComponent(const SwitchSpec& spec)
+      : SingleQueueStation(1u, spec.rate_bps), spec_(spec) {}
 
-  std::size_t queue_length() const override { return queue_.total_jobs(); }
   const SwitchSpec& spec() const { return spec_; }
   double capacity_per_second() const override { return spec_.rate_bps; }
 
- protected:
-  double raw_utilization() const override { return queue_.last_utilization(); }
-  void accept(StageJob job) override { queue_.enqueue(job.work, pool_.create(job)); }
-
-  void advance_tick(Tick now, double dt) override {
-    queue_.advance(dt, completed_);
-    for (JobCtx ctx : completed_) {
-      StageJob* job = static_cast<StageJob*>(ctx);
-      job->handler->on_stage_complete(*this, now, job->tag);
-      pool_.destroy(job);
-    }
-  }
-
-  void archive_discipline(StateArchive& ar, HandlerRegistry& reg) override {
-    ar.section("switch");
-    archive_stagejob_queue(ar, reg, queue_, pool_);
-  }
-
  private:
   SwitchSpec spec_;  // ARCHIVE-TRANSIENT: hardware spec; construction-time configuration
-  FcfsMultiServerQueue queue_;
-  JobPool<StageJob> pool_;
-  std::vector<JobCtx> completed_;  // ARCHIVE-TRANSIENT: per-tick scratch; drained before the tick ends
 };
 
 }  // namespace gdisim

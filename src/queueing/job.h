@@ -55,13 +55,21 @@ class JobPool {
     free_.push_back(slot);
   }
 
+  /// Returns every slot to the free list, for a snapshot load that is about
+  /// to replace all in-flight contexts.
+  void release_all() {
+    free_.clear();
+    for (const auto& slot : slots_) free_.push_back(slot.get());
+    live_ = 0;
+  }
+
   /// Contexts created and not yet destroyed.
   std::size_t live() const { return live_; }
 
  private:
-  std::vector<std::unique_ptr<T>> slots_;  // ARCHIVE-TRANSIENT: pool storage; load re-allocates live jobs via archive_stagejob_queue
-  std::vector<T*> free_;  // ARCHIVE-TRANSIENT: pool storage; load re-allocates live jobs via archive_stagejob_queue
-  std::size_t live_ = 0;  // ARCHIVE-TRANSIENT: pool storage; load re-allocates live jobs via archive_stagejob_queue
+  std::vector<std::unique_ptr<T>> slots_;  // ARCHIVE-TRANSIENT: pool storage; load re-creates live jobs via QueueStation::archive_jobs
+  std::vector<T*> free_;  // ARCHIVE-TRANSIENT: pool storage; load re-creates live jobs via QueueStation::archive_jobs
+  std::size_t live_ = 0;  // ARCHIVE-TRANSIENT: pool storage; load re-creates live jobs via QueueStation::archive_jobs
 };
 
 struct QueuedJob {

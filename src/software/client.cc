@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <stdexcept>
+#include <string>
 
 namespace gdisim {
 
@@ -101,6 +103,10 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config, const Operatio
   completions_.bind_owner(this);
   if (config_.behavior == ClientBehavior::kSessionScript && config_.session_script.empty()) {
     throw std::invalid_argument("ClientPopulation: session script behavior without a script");
+  }
+  if (!(config_.curve.peak() <= kMaxPeak)) {
+    throw std::invalid_argument("ClientPopulation " + config_.name + ": peak exceeds " +
+                                std::to_string(kMaxPeak) + " clients");
   }
   const std::size_t cap = static_cast<std::size_t>(config_.curve.peak()) + 1;
   slots_.resize(cap);

@@ -184,6 +184,10 @@ struct ClientPopulationConfig {
 
 class ClientPopulation final : public Agent {
  public:
+  /// Largest peak a population can hold: slot indices are uint32, and the
+  /// index above this one is the kNoParked sentinel.
+  static constexpr std::uint32_t kMaxPeak = 0xfffffffeu;
+
   ClientPopulation(ClientPopulationConfig config, const OperationCatalog& catalog,
                    OperationContext& ctx, TickClock clock);
 
@@ -272,7 +276,7 @@ class ClientPopulation final : public Agent {
   bool parked_sorted_ = true;  // ARCHIVE-TRANSIENT: derived index over slots_
   std::vector<std::uint32_t> launch_scratch_;  // ARCHIVE-TRANSIENT: per-scan scratch
   std::vector<Delivery<CompletionMsg>> drain_scratch_;  // ARCHIVE-TRANSIENT: per-wake scratch
-  static constexpr std::uint32_t kNoParked = 0xffffffffu;
+  static constexpr std::uint32_t kNoParked = kMaxPeak + 1;
   Inbox<CompletionMsg> completions_;
   std::uint64_t next_serial_ = 0;
   std::size_t logged_in_ = 0;

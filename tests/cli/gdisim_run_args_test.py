@@ -49,6 +49,9 @@ BAD_ARGS = [
     (["--scale", "1.0", "--hours", "24", "--csv", "/nonexistent/dir/x.csv"], 1,
      "/nonexistent/dir/x.csv"),
     (["--config", "/nonexistent/x.gdisim"], 1, "/nonexistent/x.gdisim"),
+    # Scaled core and disk counts are unsigned: an overflowing scale fails, never wraps.
+    (["--scenario", "consolidated", "--hours", "0.001", "--scale", "1e30"], 1,
+     "scale 1e+30 overflows a core or disk count"),
     (["--restore", "/nonexistent/x.snap", "--hours", "0.01"], 1, "/nonexistent/x.snap"),
 ]
 
@@ -91,17 +94,17 @@ class GdisimRunArgs(unittest.TestCase):
                     self.check(["--config", path, "--hours", "0.01"] + extra, 1,
                                f"{path}:{line}: unknown directive 'regime'")
 
-    def test_version_1_snapshot_is_rejected(self):
+    def test_version_2_snapshot_is_rejected(self):
         with tempfile.TemporaryDirectory() as tmp:
-            snap = os.path.join(tmp, "v1.snap")
+            snap = os.path.join(tmp, "v2.snap")
             base = ["--config", TWO_SITE, "--quiet"]
             p = run(base + ["--hours", "0.01", "--checkpoint", snap])
             self.assertEqual(p.returncode, 0, p.stderr)
             with open(snap, "r+b") as f:
                 f.seek(8)  # the little-endian version field follows the magic
-                f.write((1).to_bytes(4, "little"))
+                f.write((2).to_bytes(4, "little"))
             self.check(base + ["--hours", "0.02", "--restore", snap], 1,
-                       f"{snap}:byte 8: format version 1, this build reads 2")
+                       f"{snap}:byte 8: format version 2, this build reads 3")
 
 
 if __name__ == "__main__":

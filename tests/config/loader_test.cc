@@ -160,6 +160,23 @@ TEST(Loader, ErrorsQuoteOffendingToken) {
        "<stream>:4: link references unknown datacenter 'B'"},
       {"master H\ndatacenter A\n tier fs 1 1 1\nend\nsynchrep A 900\n",
        "<stream>:1: master references unknown datacenter 'H'"},
+      {"datacenter A\n tier fs 1 1 1\nend\ndatacenter B\n tier fs 1 1 1\nend\n"
+       "link A B 1 10\nlink B A 1 10\n",
+       "<stream>:8: duplicate link between 'A' and 'B' (first at line 7)"},
+      {"datacenter A\n tier fs 1 1 1\nend\nlink A A 1 10\n",
+       "<stream>:4: link joins datacenter 'A' to itself"},
+      {"master A\ndatacenter A\n tier app 1 1 1\n tier db 1 1 1\n tier fs 1 1 1\n"
+       " tier idx 1 1 1\nend\ndatacenter B\n tier fs 1 1 1\nend\npopulation P B CAD 5\nend\n",
+       "<stream>:11: population 'P' cannot run: Topology: no route B->A"},
+      {"master A\ndatacenter A\n tier app 1 1 1\n tier db 1 1 1\n tier fs 1 1 1\n"
+       " tier idx 1 1 1\nend\ndatacenter B\n tier fs 1 1 1\nend\nsynchrep A 900\n",
+       "<stream>:11: synchrep A cannot run: Topology: no route"},
+      {"datacenter A\n tier fs 1 1 1\nend\npopulation P A CAD 5\nend\n",
+       "<stream>:4: population 'P' cannot run: OperationContext: no tier 'app'"},
+      {"datacenter A\n tier fs 1 1 1\nend\npopulation P A CAD 4294967296\nend\n",
+       "<stream>:4: population peak must be <= 4294967294 clients at scale 1, got '4294967296'"},
+      {"datacenter A\n tier fs 1 1 1\nend\npopulation P A CAD 1e30\nend\n",
+       "<stream>:4: population peak must be <= 4294967294 clients at scale 1, got '1e30'"},
   };
   for (const Case& c : cases) {
     std::istringstream is(c.body);

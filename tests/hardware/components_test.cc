@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -295,6 +297,188 @@ TEST(SanComponent, HitRateOneNeverTouchesDisks) {
   for (int i = 0; i < 5; ++i) harness.submit(1e6, &h, i);
   harness.run(10);
   EXPECT_EQ(h.completions.size(), 5u);
+}
+
+// ---------------------------------------------------------------------------
+// The disk array's n-way fork-join, on both pipelines that use it (RAID and
+// SAN). Cache hits are off and the controller stages are fast enough to pass
+// a job on in the tick it arrives, so the drives alone set the timing.
+
+constexpr unsigned kDiskCounts[] = {1, 2, 4, 12, 40};
+
+/// A RAID and a SAN striping over `disks` drives of `hdd_rate_Bps` each.
+std::vector<std::unique_ptr<DiskArrayComponent>> striped_arrays(unsigned disks,
+                                                                 double hdd_rate_Bps) {
+  constexpr double kFast = 1e15;
+  RaidSpec raid;
+  raid.disks = disks;
+  raid.dacc_rate_Bps = raid.dcc_rate_Bps = kFast;
+  raid.hdd_rate_Bps = hdd_rate_Bps;
+  SanSpec san;
+  san.disks = disks;
+  san.fcsw_rate_Bps = san.dacc_rate_Bps = san.fcal_rate_Bps = san.dcc_rate_Bps = kFast;
+  san.hdd_rate_Bps = hdd_rate_Bps;
+  std::vector<std::unique_ptr<DiskArrayComponent>> arrays;
+  arrays.push_back(std::make_unique<RaidComponent>(raid, Rng(1)));
+  arrays.push_back(std::make_unique<SanComponent>(san, Rng(2)));
+  return arrays;
+}
+
+std::string array_label(std::size_t which, unsigned disks) {
+  return std::string(which == 0 ? "raid" : "san") + " x" + std::to_string(disks);
+}
+
+/// Steps until `h` has seen `jobs` completions or `max_steps` have run.
+void run_until_completed(ComponentHarness& harness, const RecordingHandler& h,
+                         std::size_t jobs, int max_steps) {
+  for (int i = 0; i < max_steps && h.completions.size() < jobs; ++i) harness.step();
+}
+
+class ForkJoinSweep : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ForkJoinSweep, LoneJobLatencyScalesInverselyWithBranches) {
+  const unsigned disks = GetParam();
+  const double dt = 0.001;
+  auto arrays = striped_arrays(disks, 100.0);
+  for (std::size_t k = 0; k < arrays.size(); ++k) {
+    SCOPED_TRACE(array_label(k, disks));
+    RecordingHandler h;
+    ComponentHarness harness(*arrays[k], dt);
+    harness.submit(400.0, &h);  // accepted at tick 1, served from tick 1 on
+    run_until_completed(harness, h, 1, 10000);
+    ASSERT_EQ(h.completions.size(), 1u);
+    EXPECT_NEAR(static_cast<double>(h.completions[0].now) * dt, 4.0 / disks, 3 * dt);
+  }
+}
+
+TEST_P(ForkJoinSweep, CompletionOrderIsFifoForUniformJobs) {
+  const unsigned disks = GetParam();
+  auto arrays = striped_arrays(disks, 100.0);
+  for (std::size_t k = 0; k < arrays.size(); ++k) {
+    SCOPED_TRACE(array_label(k, disks));
+    RecordingHandler h;
+    ComponentHarness harness(*arrays[k], 0.001);
+    for (std::uint64_t tag = 1; tag <= 5; ++tag) harness.submit(100.0, &h, tag);
+    run_until_completed(harness, h, 5, 100000);
+    ASSERT_EQ(h.completions.size(), 5u);
+    for (std::size_t i = 0; i < h.completions.size(); ++i) {
+      EXPECT_EQ(h.completions[i].tag, i + 1);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Branches, ForkJoinSweep, ::testing::ValuesIn(kDiskCounts),
+                         [](const ::testing::TestParamInfo<unsigned>& tpi) {
+                           return "n" + std::to_string(tpi.param);
+                         });
+
+TEST(ForkJoin, CompletesWhenAllBranchesDone) {
+  // One 100-byte share per disk at 100 B/s: every share needs 100 ticks of
+  // 10 ms. A join that fired on the first finished share would report the
+  // job once per disk.
+  for (unsigned disks : kDiskCounts) {
+    auto arrays = striped_arrays(disks, 100.0);
+    for (std::size_t k = 0; k < arrays.size(); ++k) {
+      SCOPED_TRACE(array_label(k, disks));
+      RecordingHandler h;
+      ComponentHarness harness(*arrays[k], 0.01);
+      harness.submit(100.0 * disks, &h, 7);
+      harness.run(50);
+      EXPECT_TRUE(h.completions.empty());
+      EXPECT_EQ(arrays[k]->queue_length(), 1u);
+      harness.run(70);
+      ASSERT_EQ(h.completions.size(), 1u);
+      EXPECT_EQ(h.completions[0].tag, 7u);
+      EXPECT_NEAR(static_cast<double>(h.completions[0].now), 100.0, 1.0);
+      EXPECT_EQ(arrays[k]->queue_length(), 0u);
+    }
+  }
+}
+
+TEST(ForkJoin, StripingSpeedsUpSingleJob) {
+  // The same 4000 bytes finish strictly sooner on every wider array.
+  for (std::size_t k = 0; k < 2; ++k) {
+    Tick previous = kNeverTick;
+    for (unsigned disks : kDiskCounts) {
+      SCOPED_TRACE(array_label(k, disks));
+      auto arrays = striped_arrays(disks, 100.0);
+      RecordingHandler h;
+      ComponentHarness harness(*arrays[k], 0.01);
+      harness.submit(4000.0, &h);
+      run_until_completed(harness, h, 1, 10000);
+      ASSERT_EQ(h.completions.size(), 1u);
+      EXPECT_LT(h.completions[0].now, previous);
+      previous = h.completions[0].now;
+    }
+  }
+}
+
+TEST(ForkJoin, MultipleJobsQueuePerBranch) {
+  // The second job's shares wait behind the first's on every disk, so it
+  // completes one share time (100 ticks) after the first.
+  for (unsigned disks : kDiskCounts) {
+    auto arrays = striped_arrays(disks, 100.0);
+    for (std::size_t k = 0; k < arrays.size(); ++k) {
+      SCOPED_TRACE(array_label(k, disks));
+      RecordingHandler h;
+      ComponentHarness harness(*arrays[k], 0.01);
+      harness.submit(100.0 * disks, &h, 1);
+      harness.submit(100.0 * disks, &h, 2);
+      harness.run(2);
+      EXPECT_EQ(arrays[k]->queue_length(), 2u);
+      run_until_completed(harness, h, 2, 1000);
+      ASSERT_EQ(h.completions.size(), 2u);
+      EXPECT_EQ(h.completions[0].tag, 1u);
+      EXPECT_EQ(h.completions[1].tag, 2u);
+      EXPECT_NEAR(static_cast<double>(h.completions[1].now - h.completions[0].now), 100.0,
+                  1.0);
+    }
+  }
+}
+
+TEST(ForkJoin, UtilizationAveragesBranches) {
+  // 50 bytes per disk over one 1 s tick at 100 B/s: every drive is half
+  // busy. The controllers, nearly idle, do not enter the figure.
+  for (unsigned disks : kDiskCounts) {
+    auto arrays = striped_arrays(disks, 100.0);
+    for (std::size_t k = 0; k < arrays.size(); ++k) {
+      SCOPED_TRACE(array_label(k, disks));
+      RecordingHandler h;
+      ComponentHarness harness(*arrays[k], 1.0);
+      harness.submit(50.0 * disks, &h);
+      harness.run(2);  // accept, then one service tick
+      EXPECT_NEAR(arrays[k]->utilization(), 0.5, 1e-9);
+      EXPECT_EQ(h.completions.size(), 1u);
+    }
+  }
+}
+
+TEST(ForkJoin, RejectsZeroBranches) {
+  RaidSpec raid;
+  raid.disks = 0;
+  EXPECT_THROW(RaidComponent(raid, Rng(1)), std::invalid_argument);
+  SanSpec san;
+  san.disks = 0;
+  EXPECT_THROW(SanComponent(san, Rng(1)), std::invalid_argument);
+}
+
+TEST(ForkJoin, DestructorReleasesInFlightJobs) {
+  // Destroying an array with jobs in flight — shares on the drives and
+  // shares still waiting behind them — must leak nothing (checked by the
+  // ASan build).
+  for (unsigned disks : kDiskCounts) {
+    auto arrays = striped_arrays(disks, 100.0);
+    for (std::size_t k = 0; k < arrays.size(); ++k) {
+      SCOPED_TRACE(array_label(k, disks));
+      RecordingHandler h;
+      ComponentHarness harness(*arrays[k], 0.01);
+      for (int i = 0; i < 3; ++i) harness.submit(1e6, &h);
+      harness.run(3);
+      EXPECT_EQ(arrays[k]->queue_length(), 3u);
+      arrays[k].reset();
+      EXPECT_TRUE(h.completions.empty());
+    }
+  }
 }
 
 TEST(CpuComponent, ParallelJobForksAcrossCores) {

@@ -7,7 +7,6 @@
 
 #include "core/rng.h"
 #include "queueing/fcfs_queue.h"
-#include "queueing/fork_join.h"
 #include "queueing/ps_queue.h"
 
 namespace gdisim {
@@ -119,45 +118,6 @@ INSTANTIATE_TEST_SUITE_P(Grid, PsSweep,
                          [](const ::testing::TestParamInfo<PsCase>& tpi) {
                            return "k" + std::to_string(tpi.param.k) + "_i" +
                                   std::to_string(tpi.index);
-                         });
-
-// ---------------------------------------------------------------------------
-// Fork-join: striping invariants.
-
-class ForkJoinSweep : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(ForkJoinSweep, LoneJobLatencyScalesInverselyWithBranches) {
-  const unsigned branches = GetParam();
-  ForkJoinQueue q(branches, 100.0);
-  q.enqueue(400.0, nullptr);
-  double t = 0.0;
-  const double dt = 0.001;
-  while (q.total_jobs() > 0 && t < 100.0) {
-    q.advance(dt);
-    t += dt;
-  }
-  EXPECT_NEAR(t, 4.0 / branches, 3 * dt);
-}
-
-TEST_P(ForkJoinSweep, CompletionOrderIsFifoForUniformJobs) {
-  const unsigned branches = GetParam();
-  ForkJoinQueue q(branches, 100.0);
-  for (std::intptr_t i = 1; i <= 5; ++i) q.enqueue(100.0, reinterpret_cast<JobCtx>(i));
-  std::vector<std::intptr_t> order;
-  for (int step = 0; step < 100000 && order.size() < 5; ++step) {
-    for (JobCtx c : q.advance(0.001).completed) {
-      order.push_back(reinterpret_cast<std::intptr_t>(c));
-    }
-  }
-  ASSERT_EQ(order.size(), 5u);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i], static_cast<std::intptr_t>(i + 1));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Branches, ForkJoinSweep, ::testing::Values(1u, 2u, 4u, 12u, 40u),
-                         [](const ::testing::TestParamInfo<unsigned>& tpi) {
-                           return "n" + std::to_string(tpi.param);
                          });
 
 }  // namespace

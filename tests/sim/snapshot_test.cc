@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -22,8 +23,13 @@
 #include "config/loader.h"
 #include "core/archive.h"
 #include "core/rng.h"
+#include "hardware/cpu.h"
+#include "hardware/delay.h"
+#include "hardware/link.h"
+#include "hardware/network_switch.h"
 #include "hardware/nic.h"
-#include "queueing/fork_join.h"
+#include "hardware/raid.h"
+#include "hardware/san.h"
 #include "sim/fingerprint.h"
 #include "sim/gdisim.h"
 
@@ -149,50 +155,7 @@ TEST(SnapshotLayer, RngStreamRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Fork-join queue mid-branch.
-
-JobCtx make_ctx(std::uint64_t i) {
-  return reinterpret_cast<JobCtx>(static_cast<std::intptr_t>(i));
-}
-
-TEST(SnapshotLayer, ForkJoinMidBranchRoundTrip) {
-  ForkJoinQueue a(4, 100.0);
-  a.enqueue(400.0, make_ctx(1));
-  a.enqueue(200.0, make_ctx(2));
-  const auto mid = a.advance(0.5);  // half of job 1 served; both joins live
-  EXPECT_TRUE(mid.completed.empty());
-
-  const JobCtxEncoder enc = [](JobCtx c) {
-    return static_cast<std::uint64_t>(reinterpret_cast<std::intptr_t>(c));
-  };
-  const JobCtxDecoder dec = [](std::uint64_t v) { return make_ctx(v); };
-
-  StateArchive w(StateArchive::Mode::kWrite);
-  a.archive_state(w, enc, dec);
-
-  ForkJoinQueue b(4, 100.0);
-  StateArchive r = StateArchive::reader(w.payload());
-  b.archive_state(r, enc, dec);
-  EXPECT_TRUE(r.exhausted());
-
-  StateArchive w2(StateArchive::Mode::kWrite);
-  b.archive_state(w2, enc, dec);
-  EXPECT_EQ(w.payload(), w2.payload());
-
-  // Identical behaviour from the restore point: same completions, same
-  // utilization, step by step.
-  for (int step = 0; step < 4; ++step) {
-    const auto ra = a.advance(0.5);
-    const auto rb = b.advance(0.5);
-    EXPECT_EQ(ra.completed, rb.completed) << "step " << step;
-    EXPECT_DOUBLE_EQ(a.last_utilization(), b.last_utilization()) << "step " << step;
-  }
-  EXPECT_EQ(a.total_jobs(), b.total_jobs());
-  EXPECT_EQ(a.completed_jobs(), b.completed_jobs());
-}
-
-// ---------------------------------------------------------------------------
-// A single hardware component mid-service, including an undrained inbox.
+// Every kind of hardware station mid-service, including an undrained inbox.
 
 struct RecordingHandler final : StageCompletionHandler {
   std::vector<std::pair<Tick, std::uint64_t>> done;
@@ -201,53 +164,182 @@ struct RecordingHandler final : StageCompletionHandler {
   }
 };
 
-TEST(SnapshotLayer, SingleComponentMidServiceRoundTrip) {
-  NicSpec spec;
-  spec.rate_bps = 1000.0;  // 100 bits per 0.1 s tick
+/// One station under test. With 0.1 s ticks each station serves about 100
+/// work units per tick, so jobs of 600, 250 and 100 units span several.
+struct StationCase {
+  const char* name;
+  std::unique_ptr<Component> (*make)();
+  double unit;           ///< work per job unit (the delay station counts seconds)
+  unsigned parallelism;  ///< fork hint on every job; only the CPU honours it
+};
 
-  NicComponent a(spec);
-  a.set_tick_seconds(0.1);
-  a.set_id(3);
+void PrintTo(const StationCase& c, std::ostream* os) { *os << c.name; }
+
+std::unique_ptr<Component> make_nic() {
+  NicSpec spec;
+  spec.rate_bps = 1000.0;
+  return std::make_unique<NicComponent>(spec);
+}
+
+std::unique_ptr<Component> make_switch() {
+  SwitchSpec spec;
+  spec.rate_bps = 1000.0;
+  return std::make_unique<SwitchComponent>(spec);
+}
+
+std::unique_ptr<Component> make_link() {
+  // One transfer at a time, so the second waits; 0.25 s in the latency pipe.
+  LinkSpec spec;
+  spec.bandwidth_bps = 1000.0;
+  spec.latency_seconds = 0.25;
+  spec.max_concurrent = 1;
+  return std::make_unique<LinkComponent>(spec);
+}
+
+std::unique_ptr<Component> make_cpu() {
+  // Four 250-cycle/s cores: a parallelism-4 job occupies all of them and the
+  // next one's shares wait.
+  return std::make_unique<CpuComponent>(CpuSpec{1, 4, 250.0, 1.0});
+}
+
+// Disk arrays: the controller stages pass both first jobs on in the first
+// tick. Each disk controller then finishes the first job's share and part of
+// the second's, so the snapshot holds shares in dcc and in hdd, and the dcc
+// hits leave records with fewer outstanding shares than disks.
+std::unique_ptr<Component> make_raid() {
+  RaidSpec spec;
+  spec.disks = 4;
+  spec.dacc_rate_Bps = 1e4;
+  spec.dcc_rate_Bps = 2000.0;
+  spec.dcc_hit_rate = 0.5;
+  spec.hdd_rate_Bps = 100.0;
+  return std::make_unique<RaidComponent>(spec, Rng(7));
+}
+
+std::unique_ptr<Component> make_san() {
+  SanSpec spec;
+  spec.disks = 4;
+  spec.fcsw_rate_Bps = spec.dacc_rate_Bps = spec.fcal_rate_Bps = 1e4;
+  spec.dcc_rate_Bps = 2000.0;
+  spec.dcc_hit_rate = 0.5;
+  spec.hdd_rate_Bps = 100.0;
+  return std::make_unique<SanComponent>(spec, Rng(8));
+}
+
+std::unique_ptr<Component> make_delay() { return std::make_unique<DelayComponent>(); }
+
+class StationSnapshot : public ::testing::TestWithParam<StationCase> {};
+
+TEST_P(StationSnapshot, MidServiceRoundTrip) {
+  const StationCase& c = GetParam();
+  const auto job = [&c](double units, StageCompletionHandler* h, std::uint64_t tag) {
+    return StageJob{units * c.unit, h, tag, c.parallelism};
+  };
+
+  std::unique_ptr<Component> a = c.make();
+  a->set_tick_seconds(0.1);
+  a->set_id(3);
   RecordingHandler ha;
-  a.submit(0, /*sender=*/1, /*seq=*/0, StageJob{600.0, &ha, 11, 1});
-  a.submit(0, 1, 1, StageJob{250.0, &ha, 22, 1});
-  a.on_interactions(0);
-  a.on_tick(1);  // 100 of 600 bits served: mid-service
+  a->submit(0, /*sender=*/1, /*seq=*/0, job(600.0, &ha, 11));
+  a->submit(0, 1, 1, job(250.0, &ha, 22));
+  a->on_interactions(0);
+  a->on_tick(1);  // mid-service
+  EXPECT_TRUE(ha.done.empty());
+  EXPECT_GT(a->queue_length(), 0u);
   // A delivery that is still sitting in the inbox at snapshot time.
-  a.submit(5, 1, 2, StageJob{100.0, &ha, 33, 1});
+  a->submit(5, 1, 2, job(100.0, &ha, 33));
 
   HandlerRegistry rega;
   rega.bind(/*owner=*/7, /*serial=*/1, &ha);
   StateArchive w(StateArchive::Mode::kWrite);
-  a.archive_state(w, rega);
+  a->archive_state(w, rega);
 
-  NicComponent b(spec);
-  b.set_tick_seconds(0.1);
-  b.set_id(3);
+  std::unique_ptr<Component> b = c.make();
+  b->set_tick_seconds(0.1);
+  b->set_id(3);
   RecordingHandler hb;
   HandlerRegistry regb;
   regb.bind(7, 1, &hb);
   StateArchive r = StateArchive::reader(w.payload());
-  b.archive_state(r, regb);
+  b->archive_state(r, regb);
   EXPECT_TRUE(r.exhausted());
 
   StateArchive w2(StateArchive::Mode::kWrite);
-  b.archive_state(w2, regb);
+  b->archive_state(w2, regb);
   EXPECT_EQ(w.payload(), w2.payload());
 
   // Drive both through the same phases; completions must land on the same
   // ticks with the same tags, resolved through each side's own handler.
-  for (Tick t = 2; t <= 15; ++t) {
-    a.on_tick(t);
-    a.on_interactions(t);
-    b.on_tick(t);
-    b.on_interactions(t);
-    EXPECT_DOUBLE_EQ(a.utilization(), b.utilization()) << "tick " << t;
+  for (Tick t = 2; t <= 60; ++t) {
+    a->on_tick(t);
+    a->on_interactions(t);
+    b->on_tick(t);
+    b->on_interactions(t);
+    EXPECT_DOUBLE_EQ(a->utilization(), b->utilization()) << "tick " << t;
   }
   EXPECT_EQ(ha.done, hb.done);
   EXPECT_EQ(ha.done.size(), 3u);  // all three jobs completed on both sides
-  EXPECT_EQ(a.queue_length(), 0u);
-  EXPECT_EQ(b.queue_length(), 0u);
+  EXPECT_EQ(a->queue_length(), 0u);
+  EXPECT_EQ(b->queue_length(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Stations, StationSnapshot,
+                         ::testing::Values(StationCase{"nic", make_nic, 1.0, 1},
+                                           StationCase{"switch", make_switch, 1.0, 1},
+                                           StationCase{"link", make_link, 1.0, 1},
+                                           StationCase{"cpu", make_cpu, 1.0, 4},
+                                           StationCase{"raid", make_raid, 1.0, 1},
+                                           StationCase{"san", make_san, 1.0, 1},
+                                           StationCase{"delay", make_delay, 0.001, 1}),
+                         [](const ::testing::TestParamInfo<StationCase>& tpi) {
+                           return std::string(tpi.param.name);
+                         });
+
+TEST(SnapshotLayer, StationRejectsShareCountMismatch) {
+  // A job table whose outstanding count disagrees with the queue entries
+  // pointing at the record would leave a job that never completes: the load
+  // fails instead.
+  NicSpec spec;
+  spec.rate_bps = 1000.0;
+  NicComponent a(spec);
+  a.set_tick_seconds(0.1);
+  RecordingHandler h;
+  a.submit(0, 1, 0, StageJob{600.0, &h, 11, 1});
+  a.on_interactions(0);
+  HandlerRegistry reg;
+  reg.bind(7, 1, &h);
+  StateArchive w(StateArchive::Mode::kWrite);
+  a.archive_state(w, reg);
+
+  // The record as the table writes it: work, handler owner and serial, tag,
+  // parallelism; its outstanding count follows.
+  StateArchive sig(StateArchive::Mode::kWrite);
+  double work = 600.0;
+  std::uint32_t owner = 7, parallelism = 1;
+  std::uint64_t serial = 1, tag = 11;
+  sig.f64(work);
+  sig.u32(owner);
+  sig.u64(serial);
+  sig.u64(tag);
+  sig.u32(parallelism);
+  std::vector<std::uint8_t> payload = w.payload();
+  const auto at = std::search(payload.begin(), payload.end(), sig.payload().begin(),
+                              sig.payload().end());
+  ASSERT_NE(at, payload.end());
+  const auto outstanding = at + static_cast<std::ptrdiff_t>(sig.payload().size());
+  ASSERT_EQ(*outstanding, 1u);
+  *outstanding = 2;
+
+  NicComponent b(spec);
+  StateArchive r = StateArchive::reader(payload);
+  try {
+    b.archive_state(r, reg);
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("2 outstanding shares but 1 queue entries"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@
 #   perf-smoke  bench_scale_frontier in fast mode with a tiny tick budget;
 #            fails when the bench exits nonzero or its JSON is missing,
 #            malformed, or lacks the required fields
+#   shape    paper-shape gate: perfbench's consolidated_small (the scale-0.1
+#            day against the Ch. 6 bands) and validation_replicas (Ch. 5
+#            experiments 1-3 against Table 5.3) must each report
+#            "correct": true with no failed unit
 #   release/audit/asan/ubsan/tsan   CMake presets: configure + build + ctest
 #
 # Sanitizer suites run the full tier-1 ctest set; on small hosts expect the
@@ -39,7 +43,7 @@ cd "$(dirname "$0")/.."
 
 LEGS=("$@")
 if [ ${#LEGS[@]} -eq 0 ]; then
-  LEGS=(lint archive-coverage isolation release audit smoke perf-smoke snapshot sanitize-snapshot asan tsan)
+  LEGS=(lint archive-coverage isolation release audit smoke perf-smoke shape snapshot sanitize-snapshot asan tsan)
 fi
 
 JOBS="${JOBS:-$(nproc)}"
@@ -205,6 +209,29 @@ print(f"perf-smoke: JSON ok ({len(per_scale)} scale points)")
 EOF
 }
 
+run_shape() {
+  echo "=== [shape] paper-shape gate: perfbench correctness ==="
+  local workload result
+  for workload in consolidated_small validation_replicas; do
+    result=$(python3 perfbench/run.py --workload "$workload" --seed 42 --seconds 1 \
+        --trace 0 | tail -n 1) || {
+      echo "shape: perfbench $workload did not run" >&2
+      return 1
+    }
+    python3 - "$workload" "$result" <<'EOF' || return 1
+import json, sys
+workload, line = sys.argv[1], sys.argv[2]
+try:
+    result = json.loads(line)
+except ValueError:
+    sys.exit(f"shape: {workload}: last line is not a result: {line!r}")
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(f"shape: {workload}: correct={result.get('correct')} failed={result.get('failed')}")
+print(f"shape: {workload}: correct, {result['attempted']} units, 0 failed")
+EOF
+  done
+}
+
 run_tsan() {
   run_preset tsan
   # Pin the suites that actually start threads — the Ch. 4 engines, the
@@ -238,6 +265,7 @@ for leg in "${LEGS[@]}"; do
     smoke) run_smoke ;;
     snapshot) run_snapshot ;;
     perf-smoke) run_perf_smoke ;;
+    shape) run_shape ;;
     sanitize-snapshot) run_sanitize_snapshot ;;
     tsan) run_tsan ;;
     *) run_preset "$leg" ;;
