@@ -44,7 +44,7 @@ void IndexBuildDaemon::on_tick(Tick now) {
 
 void IndexBuildDaemon::on_run_complete(const BackgroundRunRecord& /*record*/, Tick end_tick) {
   running_ = false;
-  next_launch_ = end_tick + delay_ticks_;
+  next_launch_ = saturating_add(end_tick, delay_ticks_);
 }
 
 }  // namespace gdisim

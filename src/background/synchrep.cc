@@ -25,7 +25,7 @@ void SynchRepDaemon::on_run_complete(const BackgroundRunRecord& record, Tick end
 void SynchRepDaemon::on_tick(Tick now) {
   if (now < next_launch_) return;
   GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kBackground);
-  next_launch_ = now + interval_ticks_;
+  next_launch_ = saturating_add(now, interval_ticks_);
 
   const double now_hour = clock().to_seconds(now) / 3600.0;
   const double from_hour = cover_from_hour_;

@@ -348,6 +348,12 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
     }
   }
 
+  double slots = 0.0;
+  for (const PopulationDecl& decl : populations) {
+    slots += ClientPopulation::slots_for_peak(std::max(decl.peak * scale, 1.0));
+  }
+  require_slot_memory(slots, scale);
+
   Scenario s;
   s.tick_seconds = tick;
   s.scale = scale;

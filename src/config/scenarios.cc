@@ -1,6 +1,7 @@
 #include "config/scenarios.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -225,6 +226,17 @@ void build_wan(InfrastructureBuilder& builder) {
   builder.connect_duplex("EU", "AS1", trunk_as, /*usable=*/false);
 }
 
+/// Builds the data centers and the WAN. Every blueprint, and with it every
+/// scaled count, is known by now, so a scale whose client slots cannot fit
+/// in memory fails here, before anything large is allocated.
+void build_global_infrastructure(InfrastructureBuilder& builder,
+                                 const std::array<DataCenterBlueprint, kNumDcs>& blueprints,
+                                 double scale) {
+  require_slot_memory(global_client_slots(scale), scale);
+  for (const DataCenterBlueprint& bp : blueprints) builder.add_datacenter(bp);
+  build_wan(builder);
+}
+
 void add_population(Scenario& s, const std::string& app, DcId dc, double peak, double scale,
                     const GlobalOptions& options, const TickClock& clock, double size_mb,
                     double jitter) {
@@ -274,6 +286,16 @@ std::vector<DcId> all_dcs() {
 
 }  // namespace
 
+double global_client_slots(double scale) {
+  double slots = 0.0;
+  for (DcId d = 0; d < kNumDcs; ++d) {
+    for (double peak : {kCadPeak[d], kVisPeak[d], kPdmPeak[d]}) {
+      slots += ClientPopulation::slots_for_peak(std::max(peak * scale, 1.0));
+    }
+  }
+  return slots;
+}
+
 AccessPatternMatrix multimaster_apm() {
   // Table 7.2, reordered to (NA, EU, AS1, SA, AFR, AUS) and extended with
   // the AS2 satellite (accesses like AS1, owns nothing).
@@ -297,8 +319,9 @@ Scenario make_consolidated_scenario(const GlobalOptions& options) {
   InfrastructureBuilder builder(options.seed);
   const double sc = options.scale;
 
+  std::array<DataCenterBlueprint, kNumDcs> blueprints;
   for (DcId d = 0; d < kNumDcs; ++d) {
-    DataCenterBlueprint bp;
+    DataCenterBlueprint& bp = blueprints[d];
     bp.name = kGlobalDcNames[d];
     bp.san = SanNotation{2, std::max(8u, scaled_count(120, sc)), 15000.0};
     bp.tier_link = LinkNotation{1.0, 0.5, 1.0};
@@ -314,9 +337,8 @@ Scenario make_consolidated_scenario(const GlobalOptions& options) {
       bp.tiers[TierKind::Fs] =
           TierNotation{fs_servers, scaled_count(40, sc), 16.0, 2.5, 0.30, 12.0};
     }
-    builder.add_datacenter(bp);
   }
-  build_wan(builder);
+  build_global_infrastructure(builder, blueprints, sc);
   s.topology = builder.finish();
 
   s.master_dc = s.topology->find_dc("NA");
@@ -358,8 +380,9 @@ Scenario make_multimaster_scenario(const GlobalOptions& options) {
   InfrastructureBuilder builder(options.seed);
   const double sc = options.scale;
 
+  std::array<DataCenterBlueprint, kNumDcs> blueprints;
   for (DcId d = 0; d < kNumDcs; ++d) {
-    DataCenterBlueprint bp;
+    DataCenterBlueprint& bp = blueprints[d];
     bp.name = kGlobalDcNames[d];
     bp.san = SanNotation{2, std::max(8u, scaled_count(120, sc)), 15000.0};
     bp.tier_link = LinkNotation{1.0, 0.5, 1.0};
@@ -386,9 +409,8 @@ Scenario make_multimaster_scenario(const GlobalOptions& options) {
       // AS2 remains a client-only satellite with file serving.
       bp.tiers[TierKind::Fs] = TierNotation{1, scaled_count(40, sc), 16.0, 2.5, 0.30, 12.0};
     }
-    builder.add_datacenter(bp);
   }
-  build_wan(builder);
+  build_global_infrastructure(builder, blueprints, sc);
   s.topology = builder.finish();
 
   s.master_dc = s.topology->find_dc("NA");

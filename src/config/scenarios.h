@@ -110,6 +110,11 @@ extern const char* const kGlobalDcNames[7];
 Scenario make_consolidated_scenario(const GlobalOptions& options);
 Scenario make_multimaster_scenario(const GlobalOptions& options);
 
+/// Client slots the Ch. 6/7 populations allocate at `scale`. Both factories
+/// refuse a scale whose slots do not fit in memory (require_slot_memory)
+/// before they build anything.
+double global_client_slots(double scale);
+
 /// Table 7.2 (percentages), extended with the AS2 satellite which accesses
 /// like AS1 and owns nothing.
 AccessPatternMatrix multimaster_apm();

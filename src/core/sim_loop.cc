@@ -238,7 +238,7 @@ void SimulationLoop::run_until(Tick end_tick) {
 }
 
 void SimulationLoop::run_for_seconds(double seconds) {
-  run_until(now_ + clock_.to_ticks(seconds));
+  run_until(saturating_add(now_, clock_.to_ticks(seconds)));
 }
 
 }  // namespace gdisim

@@ -7,8 +7,10 @@
 // magnitude below the smallest canonical operation cost.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 namespace gdisim {
@@ -22,6 +24,21 @@ inline constexpr Tick kNeverTick = std::numeric_limits<Tick>::max();
 /// Wake-policy sentinel (Agent::next_wake_tick): the agent wants the
 /// time-increment signal on every tick, like the original dense sweep.
 inline constexpr Tick kEveryTick = -1;
+
+/// The one checked double -> Tick conversion: a count of `ticks` truncated
+/// toward zero. A count at or beyond the Tick range (2^63, or +inf) is
+/// kNeverTick, a count at or below zero is 0, and NaN throws
+/// std::domain_error.
+inline Tick whole_ticks(double ticks) {
+  if (std::isnan(ticks)) throw std::domain_error("tick count is not a number");
+  if (ticks <= 0.0) return 0;
+  if (ticks >= 0x1p63) return kNeverTick;
+  return static_cast<Tick>(ticks);
+}
+
+/// `t + d` for non-negative ticks, saturating at kNeverTick: a duration of
+/// "never" added to any tick stays never.
+inline Tick saturating_add(Tick t, Tick d) { return d >= kNeverTick - t ? kNeverTick : t + d; }
 
 /// Identifier of an agent registered with the simulation loop. Dense,
 /// assigned at registration time, usable as a vector index.
@@ -38,11 +55,13 @@ class TickClock {
 
   double to_seconds(Tick t) const { return static_cast<double>(t) * tick_seconds_; }
 
-  /// Rounds up so that a nonzero duration never becomes zero ticks.
+  /// Rounds up so that a nonzero duration never becomes zero ticks. A
+  /// duration beyond the Tick range is kNeverTick; NaN throws.
   Tick to_ticks(double seconds) const {
     if (seconds <= 0.0) return 0;
     const double t = seconds / tick_seconds_;
-    const Tick whole = static_cast<Tick>(t);
+    const Tick whole = whole_ticks(t);
+    if (whole == kNeverTick) return kNeverTick;
     return (static_cast<double>(whole) >= t) ? whole : whole + 1;
   }
 

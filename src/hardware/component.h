@@ -15,11 +15,14 @@
 // bursts, disk I/O) always queue, so contention effects are preserved where
 // they matter. This keeps the tick length an order of magnitude below the
 // canonical costs, as the thesis requires, without making every metadata
-// hop cost a full tick.
+// hop cost a full tick. Accounting does not wake the component: the work
+// waits in a tick-stamped bucket until the component is next touched
+// (DESIGN.md §5 "Quiescence contract").
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -83,7 +86,15 @@ inline void archive_stage_job(StateArchive& ar, HandlerRegistry& reg, StageJob& 
 
 class Component : public Agent {
  public:
-  Component() { inbox_.bind_owner(this); }
+  /// `capacity_per_second` is the aggregate service capacity in work units
+  /// per second (all servers); `single_job_rate` is the rate one job sees at
+  /// an idle station, which the route builder's sub-tick test divides by.
+  Component(double capacity_per_second, double single_job_rate)
+      : capacity_per_second_(capacity_per_second), single_job_rate_(single_job_rate) {
+    inbox_.bind_owner(this);
+  }
+  explicit Component(double capacity_per_second)
+      : Component(capacity_per_second, capacity_per_second) {}
 
   /// Submission; the job becomes serviceable at `visible_at`. (sender, seq)
   /// make the inbox drain order deterministic.
@@ -94,21 +105,24 @@ class Component : public Agent {
   void on_interactions(Tick now) override {
     if (inbox_.empty()) return;
     inbox_.drain_visible_into(now, drain_scratch_);
+    in_flight_ += drain_scratch_.size();
     for (auto& d : drain_scratch_) accept(d.payload);
   }
 
   void on_tick(Tick now) final {
     GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kQueueing);
-    // Any accounting during tick `now` targets the *other* parity bucket,
-    // so this one holds exactly the work accounted at tick now - 1.
+    fold_idle_samples(now);
+    // What is left in this bucket is the work accounted at tick now - 1: any
+    // accounting during tick `now` targets the other parity bucket.
     double& bucket = instant_buckets_[static_cast<std::size_t>(now) & 1];
     const double instant = bucket;
     if (instant != 0.0) {
+      GDISIM_AUDIT_CHECK(instant_ticks_[static_cast<std::size_t>(now) & 1] == now,
+                         "Component: instant work from a later tick folded early");
       bucket = 0.0;
-      const double cap = capacity_per_second() * tick_seconds_;
-      instant_fraction_ = cap > 0.0 ? instant / cap : 0.0;
+      instant_fraction_ = instant_share(instant);
     } else {
-      instant_fraction_ = 0.0;  // 0 / cap — skip the virtual capacity call
+      instant_fraction_ = 0.0;
     }
     advance_tick(now, tick_seconds_);
     window_accum_ += utilization();
@@ -118,8 +132,9 @@ class Component : public Agent {
   void set_tick_seconds(double s) { tick_seconds_ = s; }
   double tick_seconds() const { return tick_seconds_; }
 
-  /// Capacity fraction used during the last tick, in [0, 1]; includes
-  /// sub-tick accounted work.
+  /// Capacity fraction used during the last tick this component ran, in
+  /// [0, 1]; includes sub-tick accounted work. A parked component keeps the
+  /// value of its last run, so only windows compare across schedulers.
   double utilization() const {
     return std::min(1.0, raw_utilization() + instant_fraction_);
   }
@@ -129,8 +144,10 @@ class Component : public Agent {
   /// samples). `now` is the sample tick; the denominator is wall ticks, not
   /// ticks executed, so a component parked by the active-set scheduler
   /// (which would have accumulated exactly zero on every skipped tick)
-  /// reports the same mean as under the dense sweep. Resets the window.
+  /// reports the same mean as under the dense sweep. Folds the pending
+  /// instant samples of ticks before `now` first, then resets the window.
   double take_window_utilization(Tick now) {
+    fold_idle_samples(now);
     const Tick span = now - window_start_tick_;
     const double u = span > 0 ? window_accum_ / static_cast<double>(span) : utilization();
     window_accum_ = 0.0;
@@ -139,55 +156,65 @@ class Component : public Agent {
   }
 
   /// Records work served "instantly" (below the sub-tick threshold) at tick
-  /// `now`, from any agent's phase during routing. The work is folded into
-  /// utilization at tick now + 1 whether the accounting agent runs before or
-  /// after this component within the tick — two buckets indexed by tick
-  /// parity separate "accumulating" from "folding", which keeps utilization
-  /// attribution independent of agent order and identical between scheduler
-  /// modes.
+  /// `now`, from any agent's phase during routing. The work is the
+  /// component's instant sample for tick now + 1, whether the accounting
+  /// agent runs before or after this component within the tick: two buckets
+  /// indexed by tick parity separate "accumulating" from "folding", which
+  /// keeps utilization attribution independent of agent order. The component
+  /// is not woken. If it runs on_tick(now + 1), that call folds the sample
+  /// with its busy utilization; otherwise it held no job at now + 1 and the
+  /// sample folds as an idle one at the next touch.
   void account_instant(double work, Tick now) {
     GDISIM_AUDIT_NONNEG(work, "Component: negative instant work accounted");
-    instant_buckets_[static_cast<std::size_t>(now + 1) & 1] += work;
-    request_wake();
+    const Tick at = now + 1;
+    const std::size_t b = static_cast<std::size_t>(at) & 1;
+    if (instant_ticks_[b] != at) {
+      // Whatever the bucket still holds belongs to a tick before `now`.
+      fold_idle_samples(now);
+      GDISIM_AUDIT_CHECK(instant_buckets_[b] == 0.0,
+                         "Component: instant work accounted out of tick order");
+      instant_ticks_[b] = at;
+    }
+    instant_buckets_[b] += work;
   }
 
-  /// Active when it has queued/in-service jobs, pending deliveries, or
-  /// pending instant work; otherwise parked until a delivery or instant
-  /// accounting wakes it. Residual state (last tick's raw_utilization /
-  /// instant_fraction_) does NOT keep the component awake: the decay tick
-  /// that would zero them contributes exactly 0 to every window accumulator
-  /// (empty queue, empty bucket), so all collected series are unchanged —
-  /// only the stale instantaneous utilization() value lingers, and nothing
-  /// in the simulator probes it between wakes.
+  /// Whether accounted sub-tick work is still waiting to be folded.
+  bool instant_pending() const {
+    return instant_buckets_[0] != 0.0 || instant_buckets_[1] != 0.0;
+  }
+
+  /// Active while it holds in-flight jobs or undelivered mail; otherwise
+  /// parked until a delivery wakes it. Pending instant work does not keep it
+  /// awake (it folds at the next touch), and neither does the last tick's
+  /// utilization() gauge: a skipped idle tick adds exactly 0 to the window.
   Tick next_wake_tick(Tick next_now) const override {
-    if (queue_length() > 0 || !inbox_.empty() || instant_buckets_[0] != 0.0 ||
-        instant_buckets_[1] != 0.0) {
-      return next_now;
-    }
-    return kNeverTick;
+    return in_flight_ > 0 || !inbox_.empty() ? next_now : kNeverTick;
   }
 
   /// Aggregate service capacity in work units per second (all servers).
-  virtual double capacity_per_second() const = 0;
+  double capacity_per_second() const { return capacity_per_second_; }
 
-  /// Approximate service rate seen by a single job when the component is
-  /// idle; used by the route builder's sub-tick decision.
-  virtual double single_job_rate() const { return capacity_per_second(); }
+  /// Service rate seen by a single job when the component is idle; used by
+  /// the route builder's sub-tick decision.
+  double single_job_rate() const { return single_job_rate_; }
 
-  /// Jobs currently queued or in service.
-  virtual std::size_t queue_length() const = 0;
+  /// Jobs accepted and not yet complete (a CPU parallel job counts once).
+  std::size_t queue_length() const { return in_flight_; }
 
   /// Snapshot round trip shared by every hardware component: agent base,
-  /// undrained inbox, instant-work buckets and the utilization window, then
-  /// the subclass discipline via archive_discipline().
+  /// undrained inbox, instant-work buckets with their ticks and the
+  /// utilization window, then the subclass discipline via
+  /// archive_discipline(), which restores the in-flight count.
   void archive_state(StateArchive& ar, HandlerRegistry& reg) override {
     Agent::archive_state(ar, reg);
     ar.section("component");
     inbox_.archive_state(ar, [&reg](StateArchive& a, StageJob& job) {
       archive_stage_job(a, reg, job);
     });
-    ar.f64(instant_buckets_[0]);
-    ar.f64(instant_buckets_[1]);
+    for (std::size_t b = 0; b < 2; ++b) {
+      ar.f64(instant_buckets_[b]);
+      ar.i64(instant_ticks_[b]);
+    }
     ar.f64(instant_fraction_);
     ar.f64(window_accum_);
     ar.i64(window_start_tick_);
@@ -196,7 +223,8 @@ class Component : public Agent {
 
  protected:
   /// Subclass hook: serialize the discipline queues and in-flight job
-  /// contexts. Default: stateless discipline.
+  /// contexts; reading must end with restore_in_flight(). Default: stateless
+  /// discipline.
   virtual void archive_discipline(StateArchive& /*ar*/, HandlerRegistry& /*reg*/) {}
   /// Moves an absorbed job into the service discipline.
   virtual void accept(StageJob job) = 0;
@@ -207,14 +235,50 @@ class Component : public Agent {
   /// Utilization of the discipline queues during the last tick.
   virtual double raw_utilization() const = 0;
 
+  /// Reports a finished job to its handler. Every station completes its
+  /// jobs here, so the in-flight count stays exact.
+  void complete(const StageJob& job, Tick now) {
+    GDISIM_AUDIT_CHECK(in_flight_ > 0, "Component: job completed with none in flight");
+    --in_flight_;
+    job.handler->on_stage_complete(*this, now, job.tag);
+  }
+
+  /// Sets the in-flight count from the jobs a snapshot restored.
+  void restore_in_flight(std::size_t jobs) { in_flight_ = jobs; }
+
  private:
+  /// Share of one tick's capacity that `work` takes.
+  double instant_share(double work) const {
+    const double cap = capacity_per_second_ * tick_seconds_;
+    return cap > 0.0 ? work / cap : 0.0;
+  }
+
+  /// Folds, oldest first, every pending instant sample of a tick before
+  /// `before`. Such a tick ran no on_tick, so the component held no job
+  /// then and its discipline utilization was exactly 0: the sample is what
+  /// utilization() would have read, and the dense sweep adds the same values
+  /// in the same order.
+  void fold_idle_samples(Tick before) {
+    const std::size_t first = instant_ticks_[0] <= instant_ticks_[1] ? 0 : 1;
+    for (const std::size_t b : {first, first ^ 1}) {
+      if (instant_buckets_[b] == 0.0 || instant_ticks_[b] >= before) continue;
+      window_accum_ += std::min(1.0, instant_share(instant_buckets_[b]));
+      instant_buckets_[b] = 0.0;
+    }
+  }
+
   Inbox<StageJob> inbox_;
   /// Reused drain buffer; its capacity amortizes across interaction phases.
   std::vector<Delivery<StageJob>> drain_scratch_;  // ARCHIVE-TRANSIENT: per-tick scratch; empty between ticks
   double tick_seconds_ = 0.0;  // ARCHIVE-TRANSIENT: clock configuration fixed at construction
+  double capacity_per_second_;  // ARCHIVE-TRANSIENT: service rate fixed at construction
+  double single_job_rate_;  // ARCHIVE-TRANSIENT: service rate fixed at construction
+  /// Jobs accepted and not yet complete.
+  std::size_t in_flight_ = 0;  // ARCHIVE-TRANSIENT: recounted from the restored discipline queues
   /// Tick-parity double buffer: work accounted at tick t lands in bucket
-  /// (t+1)&1 and is folded by on_tick(t+1), which reads bucket (t+1)&1.
+  /// (t+1)&1 stamped t+1, and folds at the first touch from tick t+1 on.
   double instant_buckets_[2] = {0.0, 0.0};
+  Tick instant_ticks_[2] = {0, 0};
   double instant_fraction_ = 0.0;
   double window_accum_ = 0.0;
   Tick window_start_tick_ = 0;
@@ -235,6 +299,8 @@ struct PendingJob {
 /// codec.
 class QueueStation : public Component {
  protected:
+  using Component::Component;
+
   /// Record for an accepted stage that the caller enqueues `shares` times.
   PendingJob* admit(const StageJob& job, unsigned shares) {
     return jobs_.create(PendingJob{job, shares});
@@ -246,21 +312,20 @@ class QueueStation : public Component {
     auto* job = static_cast<PendingJob*>(ctx);
     GDISIM_AUDIT_CHECK(job->outstanding > 0, "QueueStation: share finished with none outstanding");
     if (--job->outstanding > 0) return false;
-    job->stage.handler->on_stage_complete(*this, now, job->stage.tag);
+    complete(job->stage, now);
     jobs_.destroy(job);
+    GDISIM_AUDIT_CHECK(queue_length() == jobs_.live(),
+                       "QueueStation: in-flight count differs from the live job records");
     return true;
   }
-
-  /// Accepted jobs not yet complete.
-  std::size_t live_jobs() const { return jobs_.live(); }
 
   /// Snapshot codec for the records the station's queues reference.
   /// `for_each_queue(visit)` calls visit(queue) on every discipline queue in
   /// a fixed order. Layout: the job table (count, then each record's stage
   /// and outstanding count) in first-encounter order over the queues, then
   /// each queue with every context written as its table index. Reading
-  /// drops the records the queues held before and rebuilds the table ahead
-  /// of the queue entries that point into it.
+  /// drops the records the queues held before, rebuilds the table ahead of
+  /// the queue entries that point into it and recounts the in-flight jobs.
   template <typename ForEachQueue>
   void archive_jobs(StateArchive& ar, HandlerRegistry& reg, ForEachQueue&& for_each_queue) {
     ar.section("jobs");
@@ -307,6 +372,7 @@ class QueueStation : public Component {
                                  " queue entries");
       }
     }
+    if (ar.reading()) restore_in_flight(n);
   }
 
   /// Completion scratch every advance reuses, so a busy station does not
@@ -321,13 +387,12 @@ class QueueStation : public Component {
 /// share per job.
 template <typename Queue>
 class SingleQueueStation : public QueueStation {
- public:
-  std::size_t queue_length() const override { return queue_.total_jobs(); }
-
  protected:
-  /// Constructs the queue in place from `queue_args`.
+  /// A station serving `rate` work units per second, with its queue
+  /// constructed in place from `queue_args`.
   template <typename... QueueArgs>
-  explicit SingleQueueStation(QueueArgs... queue_args) : queue_(queue_args...) {}
+  explicit SingleQueueStation(double rate, QueueArgs... queue_args)
+      : QueueStation(rate), queue_(queue_args...) {}
 
   double raw_utilization() const override { return queue_.last_utilization(); }
   void accept(StageJob job) override { queue_.enqueue(job.work, admit(job, 1)); }

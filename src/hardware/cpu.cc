@@ -6,7 +6,12 @@
 
 namespace gdisim {
 
-CpuComponent::CpuComponent(const CpuSpec& spec) : spec_(spec) {
+// A single job runs on one core, at the core's clock rate.
+CpuComponent::CpuComponent(const CpuSpec& spec)
+    : QueueStation(static_cast<double>(spec.sockets) * spec.effective_cores_per_socket() *
+                       spec.frequency_hz,
+                   spec.frequency_hz),
+      spec_(spec) {
   sockets_.reserve(spec.sockets);
   for (unsigned p = 0; p < spec.sockets; ++p) {
     sockets_.emplace_back(spec.effective_cores_per_socket(), spec.frequency_hz);
@@ -47,12 +52,6 @@ void CpuComponent::archive_discipline(StateArchive& ar, HandlerRegistry& reg) {
     for (auto& socket : sockets_) visit(socket);
   });
   ar.f64(last_utilization_);
-}
-
-std::size_t CpuComponent::queue_length() const {
-  std::size_t n = 0;
-  for (const auto& socket : sockets_) n += socket.total_jobs();
-  return n;
 }
 
 }  // namespace gdisim

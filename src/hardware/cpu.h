@@ -37,14 +37,7 @@ class CpuComponent final : public QueueStation {
  public:
   explicit CpuComponent(const CpuSpec& spec);
 
-  std::size_t queue_length() const override;
   const CpuSpec& spec() const { return spec_; }
-
-  double capacity_per_second() const override {
-    return static_cast<double>(spec_.sockets) * spec_.effective_cores_per_socket() *
-           spec_.frequency_hz;
-  }
-  double single_job_rate() const override { return spec_.frequency_hz; }
 
  protected:
   void accept(StageJob job) override;

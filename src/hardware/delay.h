@@ -23,12 +23,9 @@ namespace gdisim {
 
 class DelayComponent final : public Component {
  public:
-  DelayComponent() = default;
-
-  std::size_t queue_length() const override { return work_.size(); }
-  double capacity_per_second() const override { return 0.0; }
-  /// Delay stations serve work measured in seconds at unit rate.
-  double single_job_rate() const override { return 1.0; }
+  /// No shared capacity; a job's work is seconds of delay, served at unit
+  /// rate.
+  DelayComponent() : Component(0.0, 1.0) {}
 
  protected:
   double raw_utilization() const override { return work_.empty() ? 0.0 : 1.0; }
@@ -64,7 +61,7 @@ class DelayComponent final : public Component {
     for (std::size_t i = 0; i < n; ++i) {
       const double w = work_[i] - dt;
       if (w <= 1e-12) {
-        rest_[i].handler->on_stage_complete(*this, now, rest_[i].tag);
+        complete(rest_[i], now);
       } else {
         min_w = std::min(min_w, w);
         work_[keep] = w;
@@ -75,6 +72,8 @@ class DelayComponent final : public Component {
     work_.resize(keep);
     rest_.resize(keep);
     min_work_ = min_w;
+    GDISIM_AUDIT_CHECK(queue_length() == keep,
+                       "DelayComponent: in-flight count differs from the jobs in service");
   }
 
   void archive_discipline(StateArchive& ar, HandlerRegistry& reg) override {
@@ -96,6 +95,7 @@ class DelayComponent final : public Component {
     if (ar.reading()) {
       min_work_ = std::numeric_limits<double>::infinity();
       for (double w : work_) min_work_ = std::min(min_work_, w);
+      restore_in_flight(n);
     }
   }
 

@@ -12,13 +12,13 @@ DiskArrayComponent::DiskArrayComponent(audit::Category category,
                                        std::size_t dacc_stage, double dacc_hit_rate,
                                        unsigned disks, double dcc_rate_Bps, double dcc_hit_rate,
                                        double hdd_rate_Bps, Rng rng)
-    : category_(category),
+    : QueueStation(static_cast<double>(disks) * hdd_rate_Bps),
+      category_(category),
       front_stages_(front_rates_Bps.size()),
       dacc_stage_(dacc_stage),
       dacc_hit_rate_(dacc_hit_rate),
       disks_(disks),
       dcc_hit_rate_(dcc_hit_rate),
-      hdd_rate_Bps_(hdd_rate_Bps),
       rng_(rng) {
   if (disks == 0) throw std::invalid_argument(std::string(audit::category_name(category)) + ": zero disks");
   queues_.reserve(front_stages_ + 2 * static_cast<std::size_t>(disks));
@@ -91,7 +91,7 @@ void DiskArrayComponent::archive_discipline(StateArchive& ar, HandlerRegistry& r
     for (auto& queue : queues_) visit(queue);
   });
   if (ar.reading()) {
-    for (std::size_t i = 0; i < live_jobs(); ++i) GDISIM_AUDIT_JOB_SPAWNED(category_);
+    for (std::size_t i = 0; i < queue_length(); ++i) GDISIM_AUDIT_JOB_SPAWNED(category_);
   }
   ar.f64(last_disk_utilization_);
 }

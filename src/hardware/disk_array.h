@@ -19,17 +19,12 @@
 namespace gdisim {
 
 class DiskArrayComponent : public QueueStation {
- public:
-  std::size_t queue_length() const override { return live_jobs(); }
-  double capacity_per_second() const override {
-    return static_cast<double>(disks_) * hdd_rate_Bps_;
-  }
-
  protected:
   /// `category` is the audit ledger; its name labels the snapshot section.
   /// `front_rates_Bps` are the single-server FCFS controller stages in
   /// pipeline order; the cache-hit draw follows stage `dacc_stage`, and the
-  /// last stage forks across the disks.
+  /// last stage forks across the disks. Capacity is the drives' aggregate
+  /// rate.
   DiskArrayComponent(audit::Category category,
                      std::initializer_list<double> front_rates_Bps, std::size_t dacc_stage,
                      double dacc_hit_rate, unsigned disks, double dcc_rate_Bps,
@@ -55,7 +50,6 @@ class DiskArrayComponent : public QueueStation {
   double dacc_hit_rate_;  // ARCHIVE-TRANSIENT: cache configuration, fixed at construction
   unsigned disks_;  // ARCHIVE-TRANSIENT: pipeline shape, fixed at construction
   double dcc_hit_rate_;  // ARCHIVE-TRANSIENT: cache configuration, fixed at construction
-  double hdd_rate_Bps_;  // ARCHIVE-TRANSIENT: drive rate, fixed at construction
   Rng rng_;
   /// The front stages, then dcc for each disk, then hdd for each disk — the
   /// fixed order the snapshot codec visits.

@@ -22,15 +22,13 @@ class LinkComponent final : public SingleQueueStation<PsQueue> {
  public:
   explicit LinkComponent(const LinkSpec& spec)
       : SingleQueueStation(spec.bandwidth_bps * spec.allocated_fraction,
-                           spec.max_concurrent, spec.latency_seconds),
+                           spec.bandwidth_bps * spec.allocated_fraction, spec.max_concurrent,
+                           spec.latency_seconds),
         spec_(spec) {}
 
   const LinkSpec& spec() const { return spec_; }
   std::size_t active_transfers() const { return queue_.active(); }
   std::uint64_t completed_transfers() const { return queue_.completed_jobs(); }
-  double capacity_per_second() const override {
-    return spec_.bandwidth_bps * spec_.allocated_fraction;
-  }
 
  private:
   LinkSpec spec_;  // ARCHIVE-TRANSIENT: hardware spec; construction-time configuration

@@ -14,10 +14,9 @@ struct SwitchSpec {
 class SwitchComponent final : public SingleQueueStation<FcfsMultiServerQueue> {
  public:
   explicit SwitchComponent(const SwitchSpec& spec)
-      : SingleQueueStation(1u, spec.rate_bps), spec_(spec) {}
+      : SingleQueueStation(spec.rate_bps, 1u, spec.rate_bps), spec_(spec) {}
 
   const SwitchSpec& spec() const { return spec_; }
-  double capacity_per_second() const override { return spec_.rate_bps; }
 
  private:
   SwitchSpec spec_;  // ARCHIVE-TRANSIENT: hardware spec; construction-time configuration

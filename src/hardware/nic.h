@@ -13,10 +13,9 @@ struct NicSpec {
 class NicComponent final : public SingleQueueStation<FcfsMultiServerQueue> {
  public:
   explicit NicComponent(const NicSpec& spec)
-      : SingleQueueStation(1u, spec.rate_bps), spec_(spec) {}
+      : SingleQueueStation(spec.rate_bps, 1u, spec.rate_bps), spec_(spec) {}
 
   const NicSpec& spec() const { return spec_; }
-  double capacity_per_second() const override { return spec_.rate_bps; }
 
  private:
   NicSpec spec_;  // ARCHIVE-TRANSIENT: hardware spec; construction-time configuration

@@ -60,12 +60,6 @@ void Tier::archive_failure_state(StateArchive& ar) {
   }
 }
 
-double Tier::mean_cpu_utilization() const {
-  double sum = 0.0;
-  for (const auto& s : servers_) sum += s->cpu().utilization();
-  return sum / static_cast<double>(servers_.size());
-}
-
 double Tier::take_window_cpu_utilization(Tick now) {
   double sum = 0.0;
   for (auto& s : servers_) sum += s->cpu().take_window_utilization(now);

@@ -43,11 +43,8 @@ class Tier {
   LinkComponent& local_link() { return *local_link_; }
 
   /// Mean CPU utilization across the tier's servers (the quantity plotted
-  /// in Figures 5-7..5-10 and 6-12/6-13).
-  double mean_cpu_utilization() const;
-
-  /// Windowed variant for the collector: mean over all ticks since the
-  /// previous collection signal (`now` is the sample tick).
+  /// in Figures 5-7..5-10 and 6-12/6-13) over all ticks since the previous
+  /// collection signal (`now` is the sample tick).
   double take_window_cpu_utilization(Tick now);
 
   /// Total memory occupied across the tier, bytes (workload-driven model).

@@ -1,5 +1,6 @@
 #include "sim/gdisim.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -20,8 +21,13 @@ GdiSimulator::GdiSimulator(Scenario scenario, SimulatorConfig config)
 
   SimLoopConfig loop_cfg;
   loop_cfg.tick_seconds = scenario_.tick_seconds;
-  loop_cfg.collect_every =
-      std::max<Tick>(1, static_cast<Tick>(config_.collect_every_s / scenario_.tick_seconds));
+  const double collect_ticks = config_.collect_every_s / scenario_.tick_seconds;
+  if (std::isnan(collect_ticks) || whole_ticks(collect_ticks) == kNeverTick) {
+    throw std::invalid_argument("GdiSimulator: a collection interval of " +
+                                std::to_string(config_.collect_every_s) +
+                                " s is outside the tick range");
+  }
+  loop_cfg.collect_every = std::max<Tick>(1, whole_ticks(collect_ticks));
   loop_cfg.scheduler = config_.scheduler;
   loop_ = std::make_unique<SimulationLoop>(loop_cfg);
 
@@ -45,6 +51,10 @@ void GdiSimulator::run_for(double seconds) {
 
 void GdiSimulator::run_until_seconds(double seconds) {
   const Tick end = loop_->clock().to_ticks(seconds);
+  if (end == kNeverTick) {
+    throw std::invalid_argument("GdiSimulator: a horizon of " + std::to_string(seconds) +
+                                " s is beyond the tick range");
+  }
   if (end > loop_->now()) loop_->run_until(end);
 }
 

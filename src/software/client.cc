@@ -1,8 +1,13 @@
 #include "software/client.h"
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iomanip>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -108,8 +113,7 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config, const Operatio
     throw std::invalid_argument("ClientPopulation " + config_.name + ": peak exceeds " +
                                 std::to_string(kMaxPeak) + " clients");
   }
-  const std::size_t cap = static_cast<std::size_t>(config_.curve.peak()) + 1;
-  slots_.resize(cap);
+  slots_.resize(static_cast<std::size_t>(slots_for_peak(config_.curve.peak())));
   // Stagger session starting points so scripted clients do not stampede the
   // same operation simultaneously.
   for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -138,6 +142,35 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config, const Operatio
                       CompletionMsg{&inst, inst.params().launcher_tag, end_tick});
   };
   rebuild_wake_index();
+}
+
+std::size_t ClientPopulation::bytes_per_slot() {
+  return sizeof(Slot) + sizeof(std::unique_ptr<OperationInstance>) +
+         sizeof(Delivery<CompletionMsg>) + sizeof(ThinkEntry);
+}
+
+SlotMemory slot_memory(double slots) {
+  SlotMemory m;
+  m.need_bytes = slots * static_cast<double>(ClientPopulation::bytes_per_slot());
+  m.limit_bytes = static_cast<double>(sysconf(_SC_PHYS_PAGES)) *
+                  static_cast<double>(sysconf(_SC_PAGESIZE));
+  rlimit as{};
+  if (getrlimit(RLIMIT_AS, &as) == 0 && as.rlim_cur != RLIM_INFINITY) {
+    m.limit_bytes = std::min(m.limit_bytes, static_cast<double>(as.rlim_cur));
+  }
+  return m;
+}
+
+std::string describe_slot_memory(double scale, const SlotMemory& memory) {
+  std::ostringstream out;
+  out << "scale " << scale << ": the client slots need " << std::fixed << std::setprecision(0)
+      << memory.need_bytes << " bytes, this process may use " << memory.limit_bytes << " bytes";
+  return out.str();
+}
+
+void require_slot_memory(double slots, double scale) {
+  const SlotMemory m = slot_memory(slots);
+  if (m.need_bytes > m.limit_bytes) throw std::runtime_error(describe_slot_memory(scale, m));
 }
 
 void ClientPopulation::rebuild_wake_index() {
@@ -258,7 +291,7 @@ void ClientPopulation::on_interactions(Tick now) {
     const double think = config_.think_model == ThinkTimeModel::kFixed
                              ? config_.think_time_mean_s
                              : rng_.next_exponential(config_.think_time_mean_s);
-    slot.ready_at = msg.end_tick + clock_.to_ticks(think);
+    slot.ready_at = saturating_add(msg.end_tick, clock_.to_ticks(think));
     --active_;
     think_heap_.emplace_back(slot.ready_at, static_cast<std::uint32_t>(msg.slot));
     std::push_heap(think_heap_.begin(), think_heap_.end(), std::greater<>());
@@ -386,7 +419,7 @@ SeriesLauncher::SeriesLauncher(SeriesLauncherConfig config, const OperationCatal
 void SeriesLauncher::on_tick(Tick now) {
   if (now >= next_launch_ && now < stop_tick_ && !config_.series.empty()) {
     launch_op(nullptr, Run{0}, now);
-    next_launch_ = now + interval_ticks_;
+    next_launch_ = saturating_add(now, interval_ticks_);
   }
 }
 

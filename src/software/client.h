@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <memory>
@@ -201,6 +202,14 @@ class ClientPopulation final : public Agent {
     return std::max(next_scan_, next_now);
   }
 
+  /// Client slots a population whose curve peaks at `peak` allocates (as a
+  /// double, so an absurd peak cannot overflow the count).
+  static double slots_for_peak(double peak) { return std::floor(peak) + 1.0; }
+
+  /// Bytes one client slot costs: the slot, its in-flight instance pointer,
+  /// its reserved completion delivery and its think-heap entry.
+  static std::size_t bytes_per_slot();
+
   void set_owner_sampler(OwnerSampler sampler) { owner_sampler_ = std::move(sampler); }
   void set_launch_recorder(LaunchRecorder recorder) { recorder_ = std::move(recorder); }
 
@@ -284,6 +293,23 @@ class ClientPopulation final : public Agent {
   std::uint64_t completed_ = 0;
   OpStatsTable op_stats_;
 };
+
+/// Memory the client slots of a scenario take, against what this process
+/// may use.
+struct SlotMemory {
+  double need_bytes = 0.0;   ///< slots x ClientPopulation::bytes_per_slot()
+  double limit_bytes = 0.0;  ///< physical memory, capped by RLIMIT_AS when finite
+};
+SlotMemory slot_memory(double slots);
+
+/// "scale S: the client slots need N bytes, this process may use M bytes".
+std::string describe_slot_memory(double scale, const SlotMemory& memory);
+
+/// Throws std::runtime_error with describe_slot_memory() when `slots` client
+/// slots need more memory than this process may use. Scenario builders call
+/// it before they allocate, so a scale too big for memory fails with a
+/// message instead of a bare std::bad_alloc.
+void require_slot_memory(double slots, double scale);
 
 /// One entry of a Ch. 5 series: operation name + file size it manipulates.
 struct SeriesOp {

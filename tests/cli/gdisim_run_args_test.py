@@ -9,6 +9,7 @@ snapshot) exits 1 with a located message. No case may end in a signal or an
 uncaught exception (rc >= 128, or a negative rc from subprocess).
 """
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -24,6 +25,9 @@ BAD_ARGS = [
     (["--hours", "-1"], 2, "--hours: bad value '-1'"),
     (["--hours", "inf"], 2, "--hours: bad value 'inf'"),
     (["--hours", "1h"], 2, "--hours: bad value '1h'"),
+    # A horizon past 2^63 ticks is refused, never wrapped into a 0-tick run.
+    (["--scenario", "validation", "--hours", "1e15"], 2,
+     "--hours: 1e+15 h is beyond the tick range; at a 0.01 s tick the longest run is"),
     (["--seed", "xyz"], 2, "--seed: bad value 'xyz'"),
     (["--seed", "-3"], 2, "--seed: bad value '-3'"),
     (["--seed", ""], 2, "--seed: bad value ''"),
@@ -75,6 +79,32 @@ class GdisimRunArgs(unittest.TestCase):
                 p = self.check(args, rc, stderr_has)
                 self.assertNotIn("simulated", p.stdout, f"{args}: ran before failing")
 
+    def test_scale_too_big_for_memory_is_refused(self):
+        # Under a 3 GB address-space limit, 1e4 x the 6,601 consolidated
+        # clients needs more than the limit in client slots alone and is
+        # refused before set-up. Under 1 GB, 1e3 passes that estimate but its
+        # hardware does not fit: the bad_alloc is reported with the same
+        # numbers. Neither may end in a bare std::bad_alloc.
+        with open(BIN, "rb") as f:
+            image = f.read()
+        if any(s in image for s in (b"__asan_init", b"__tsan_init", b"__msan_init")):
+            self.skipTest("sanitizer runtimes reserve more address space than the limit")
+        cases = [(3_000_000_000, "1e4", "scale 10000: the client slots need "),
+                 (1_000_000_000, "1e3", "out of memory; scale 1000: the client slots need ")]
+        for limit, scale, message in cases:
+            with self.subTest(scale=scale):
+                def cap_address_space(limit=limit):
+                    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+                args = ["--scenario", "consolidated", "--hours", "0.001", "--scale", scale,
+                        "--quiet", "--fingerprint"]
+                p = subprocess.run([BIN] + args, capture_output=True, text=True, timeout=60,
+                                   preexec_fn=cap_address_space)
+                self.assertEqual(p.returncode, 1, p.stderr)
+                self.assertIn(message, p.stderr)
+                self.assertRegex(p.stderr, r"this process may use \d+ bytes")
+                self.assertNotIn("fingerprint", p.stdout)
+
     def test_well_formed_numbers_run(self):
         p = run(["--scenario", "validation", "--experiment", "3", "--hours", "0.01", "--seed",
                  "7", "--quiet", "--fingerprint"])
@@ -94,17 +124,17 @@ class GdisimRunArgs(unittest.TestCase):
                     self.check(["--config", path, "--hours", "0.01"] + extra, 1,
                                f"{path}:{line}: unknown directive 'regime'")
 
-    def test_version_2_snapshot_is_rejected(self):
+    def test_version_3_snapshot_is_rejected(self):
         with tempfile.TemporaryDirectory() as tmp:
-            snap = os.path.join(tmp, "v2.snap")
+            snap = os.path.join(tmp, "v3.snap")
             base = ["--config", TWO_SITE, "--quiet"]
             p = run(base + ["--hours", "0.01", "--checkpoint", snap])
             self.assertEqual(p.returncode, 0, p.stderr)
             with open(snap, "r+b") as f:
                 f.seek(8)  # the little-endian version field follows the magic
-                f.write((2).to_bytes(4, "little"))
+                f.write((3).to_bytes(4, "little"))
             self.check(base + ["--hours", "0.02", "--restore", snap], 1,
-                       f"{snap}:byte 8: format version 2, this build reads 3")
+                       f"{snap}:byte 8: format version 3, this build reads 4")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace gdisim {
@@ -127,6 +130,28 @@ TEST(TickClock, Conversions) {
   EXPECT_EQ(clock.to_ticks(1.01), 21);   // rounds up
   EXPECT_EQ(clock.to_ticks(0.0), 0);
   EXPECT_EQ(clock.to_ticks(-1.0), 0);
+}
+
+TEST(TickClock, DurationsBeyondTheTickRangeMeanNever) {
+  TickClock clock(1.0);  // one second per tick: seconds and ticks coincide
+  const double limit = 0x1p63;  // 2^63 ticks, one past the largest Tick
+  EXPECT_EQ(clock.to_ticks(limit), kNeverTick);
+  EXPECT_EQ(clock.to_ticks(std::nextafter(limit, 0.0)), static_cast<Tick>(limit - 1024.0));
+  EXPECT_LT(clock.to_ticks(std::nextafter(limit, 0.0)), kNeverTick);
+  EXPECT_EQ(clock.to_ticks(std::nextafter(limit, 1e300)), kNeverTick);
+  EXPECT_EQ(clock.to_ticks(1e300), kNeverTick);
+  EXPECT_EQ(TickClock(0.05).to_ticks(1e300), kNeverTick);
+  EXPECT_EQ(clock.to_ticks(std::numeric_limits<double>::infinity()), kNeverTick);
+  EXPECT_EQ(clock.to_ticks(-std::numeric_limits<double>::infinity()), 0);
+  EXPECT_THROW(clock.to_ticks(std::numeric_limits<double>::quiet_NaN()), std::domain_error);
+}
+
+TEST(TickClock, NeverSaturatesWhenAddedToATick) {
+  EXPECT_EQ(saturating_add(100, 5), 105);
+  EXPECT_EQ(saturating_add(100, kNeverTick), kNeverTick);
+  EXPECT_EQ(saturating_add(kNeverTick - 5, 5), kNeverTick);
+  EXPECT_EQ(saturating_add(kNeverTick - 5, 4), kNeverTick - 1);
+  EXPECT_EQ(saturating_add(0, TickClock(0.05).to_ticks(1e300)), kNeverTick);
 }
 
 TEST(FormatSimTime, Format) {

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -550,6 +551,107 @@ TEST(Component, InstantAccountingRaisesUtilization) {
   EXPECT_NEAR(nic.utilization(), 0.5, 1e-9);  // 5e6 / (1e9 * 0.01)
   nic.on_tick(2);
   EXPECT_NEAR(nic.utilization(), 0.0, 1e-9);  // accounted once only
+}
+
+TEST(Component, PendingIdleSamplesFoldOldestFirst) {
+  // `lazy` stops running after tick 1, the way a parked station does; `twin`
+  // runs every tick, the way the dense sweep drives it. The three samples
+  // (0.1, 0.2, 0.6 of a tick) sum to 0.9 in tick order but to
+  // 0.8999999999999999 with the last two swapped.
+  NicComponent lazy(NicSpec{1e9});
+  NicComponent twin(NicSpec{1e9});
+  for (NicComponent* c : {&lazy, &twin}) {
+    c->set_tick_seconds(0.01);
+    c->account_instant(1e6, 0);
+    c->on_tick(0);
+    c->on_tick(1);
+    c->account_instant(2e6, 1);
+    c->account_instant(6e6, 2);
+  }
+  EXPECT_TRUE(lazy.instant_pending());  // samples of ticks 2 and 3
+  twin.on_tick(2);
+  twin.on_tick(3);
+  const double want = twin.take_window_utilization(4);
+  EXPECT_EQ(want, 0.9 / 4.0);
+  EXPECT_EQ(lazy.take_window_utilization(4), want);
+  EXPECT_FALSE(lazy.instant_pending());
+}
+
+/// Stands in for the route builder: accounts sub-tick work on a station at
+/// the ticks `instant` names and submits one queued job at `job_tick`.
+class InstantFeeder final : public Agent {
+ public:
+  InstantFeeder(Component& target, std::vector<std::pair<Tick, double>> instant, Tick job_tick,
+                double job_work, StageCompletionHandler* handler)
+      : target_(target),
+        instant_(std::move(instant)),
+        job_tick_(job_tick),
+        job_work_(job_work),
+        handler_(handler) {}
+
+  void on_tick(Tick now) override {
+    for (const auto& [at, work] : instant_) {
+      if (at == now) target_.account_instant(work, now);
+    }
+    if (now == job_tick_) target_.submit(now + 1, id(), next_send_seq(), StageJob{job_work_, handler_});
+  }
+
+ private:
+  Component& target_;
+  std::vector<std::pair<Tick, double>> instant_;
+  Tick job_tick_;
+  double job_work_;
+  StageCompletionHandler* handler_;
+};
+
+struct FedNic {
+  double window = 0.0;
+  std::uint64_t nic_runs = 0;
+};
+
+/// Runs a 1 Gb/s NIC and an InstantFeeder for `ticks` ticks of 10 ms under
+/// `mode`; returns the NIC's utilization window and how often it ran.
+FedNic run_fed_nic(SchedulerMode mode, Tick ticks, std::vector<std::pair<Tick, double>> instant,
+                   Tick job_tick = -1, double job_work = 0.0) {
+  SimLoopConfig cfg;
+  cfg.tick_seconds = 0.01;
+  cfg.scheduler = mode;
+  SimulationLoop loop(cfg);
+  NicComponent nic(NicSpec{1e9});
+  nic.set_tick_seconds(cfg.tick_seconds);
+  RecordingHandler h;
+  InstantFeeder feeder(nic, std::move(instant), job_tick, job_work, &h);
+  const AgentId nic_id = loop.add_agent(&nic);
+  loop.add_agent(&feeder);
+  loop.run_until(ticks);
+  return {nic.take_window_utilization(loop.now()), loop.scheduler_stats().per_agent_runs[nic_id]};
+}
+
+TEST(Component, InstantWorkBesideAQueuedJobFoldsWithTheBusyUtilization) {
+  // At tick 5 the feeder queues a 1.5-tick job and accounts 0.3 of a tick of
+  // sub-tick work; both land in tick 6. The station runs that tick with the
+  // job, so the sample joins the busy utilization: min(1, 1.0 + 0.3), then
+  // 0.5 in tick 7. Folding it apart as an idle sample would give 1.8.
+  const std::vector<std::pair<Tick, double>> instant = {{5, 3e6}};
+  const FedNic dense = run_fed_nic(SchedulerMode::kDenseSweep, 10, instant, 5, 1.5e7);
+  const FedNic active = run_fed_nic(SchedulerMode::kActiveSet, 10, instant, 5, 1.5e7);
+  EXPECT_DOUBLE_EQ(dense.window, 1.5 / 10.0);
+  EXPECT_EQ(active.window, dense.window);
+  EXPECT_LT(active.nic_runs, dense.nic_runs);
+}
+
+TEST(Component, NicFedOnlyInstantWorkStaysParked) {
+  // Sub-tick work every tick never wakes the station: after the warm-up
+  // iteration every registered agent runs, it stays out of the active set,
+  // and its window still matches the dense sweep bit for bit.
+  std::vector<std::pair<Tick, double>> instant;
+  for (Tick t = 0; t < 100; ++t) instant.emplace_back(t, 1e5 * static_cast<double>(1 + t % 7));
+  const FedNic dense = run_fed_nic(SchedulerMode::kDenseSweep, 100, instant);
+  const FedNic active = run_fed_nic(SchedulerMode::kActiveSet, 100, instant);
+  EXPECT_GT(dense.window, 0.0);
+  EXPECT_EQ(active.window, dense.window);
+  EXPECT_EQ(dense.nic_runs, 100u);
+  EXPECT_EQ(active.nic_runs, 1u);
 }
 
 }  // namespace

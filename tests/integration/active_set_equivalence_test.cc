@@ -3,7 +3,10 @@
 // produce bit-identical results — every collector series, operation stats,
 // and background-run ledgers — because quiescent agents contribute exactly
 // nothing to any observable. Only the "scheduler/" series differ by design
-// (they measure the scheduler itself).
+// (they measure the scheduler itself). The utilization window of every
+// hardware station, collected or not, is also read at points off the
+// collection grid: parked stations fold their sub-tick work lazily, and a
+// fold that went missing would show there first.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -24,7 +27,27 @@ struct RunResult {
   std::vector<double> ib_durations;
   double sr_max_staleness = 0.0;
   double occupancy = 1.0;
+  /// take_window_utilization of every station at each off-grid stop.
+  std::vector<std::vector<double>> station_windows;
 };
+
+/// Runs `sim` to each absolute time in `stops` (all off the collection grid,
+/// where the window span is nonzero) and reads every station's window there.
+std::vector<std::vector<double>> read_station_windows(GdiSimulator& sim,
+                                                      const std::vector<double>& stops) {
+  std::vector<std::vector<double>> out;
+  for (double t : stops) {
+    sim.run_until_seconds(t);
+    const Tick now = sim.loop().now();
+    EXPECT_NE(now % sim.loop().config().collect_every, 0) << "stop " << t << " s is on the grid";
+    std::vector<double> windows;
+    for (Component* c : sim.scenario().topology->all_components()) {
+      windows.push_back(c->take_window_utilization(now));
+    }
+    out.push_back(std::move(windows));
+  }
+  return out;
+}
 
 RunResult summarize(GdiSimulator& sim) {
   RunResult out;
@@ -80,6 +103,19 @@ void expect_identical(const RunResult& dense, const RunResult& active) {
   EXPECT_EQ(dense.sr_durations, active.sr_durations);
   EXPECT_EQ(dense.ib_durations, active.ib_durations);
   EXPECT_EQ(dense.sr_max_staleness, active.sr_max_staleness);
+  ASSERT_EQ(dense.station_windows.size(), active.station_windows.size());
+  for (std::size_t k = 0; k < dense.station_windows.size(); ++k) {
+    ASSERT_EQ(dense.station_windows[k].size(), active.station_windows[k].size());
+    std::size_t differ = 0;
+    bool busy = false;
+    for (std::size_t c = 0; c < dense.station_windows[k].size(); ++c) {
+      if (dense.station_windows[k][c] != active.station_windows[k][c]) ++differ;
+      busy = busy || dense.station_windows[k][c] > 0.0;
+    }
+    EXPECT_EQ(differ, 0u) << "station windows differing at stop " << k << " of "
+                          << dense.station_windows[k].size();
+    EXPECT_TRUE(busy) << "no station worked before stop " << k;
+  }
 }
 
 RunResult run_validation(SchedulerMode mode) {
@@ -90,8 +126,11 @@ RunResult run_validation(SchedulerMode mode) {
   cfg.collect_every_s = 6.0;
   cfg.scheduler = mode;
   GdiSimulator sim(std::move(scenario), cfg);
-  sim.run_for(5.0 * 60.0);
-  return summarize(sim);
+  auto windows = read_station_windows(sim, {61.37, 127.01, 190.53, 250.19});
+  sim.run_until_seconds(5.0 * 60.0);
+  RunResult out = summarize(sim);
+  out.station_windows = std::move(windows);
+  return out;
 }
 
 RunResult run_consolidated(SchedulerMode mode, double minutes) {
@@ -102,8 +141,11 @@ RunResult run_consolidated(SchedulerMode mode, double minutes) {
   cfg.collect_every_s = 30.0;
   cfg.scheduler = mode;
   GdiSimulator sim(std::move(scenario), cfg);
-  sim.run_for(minutes * 60.0);
-  return summarize(sim);
+  auto windows = read_station_windows(sim, {151.35, 301.65, 452.05, 603.15});
+  sim.run_until_seconds(minutes * 60.0);
+  RunResult out = summarize(sim);
+  out.station_windows = std::move(windows);
+  return out;
 }
 
 TEST(ActiveSetEquivalence, ValidationScenarioSerial) {

@@ -99,6 +99,44 @@ TEST(SnapshotEquivalence, ThreeContinents) {
                              "three_continents");
 }
 
+/// Every hardware station's utilization window, read at the current tick.
+std::vector<double> station_windows(GdiSimulator& sim) {
+  std::vector<double> out;
+  for (Component* c : sim.scenario().topology->all_components()) {
+    out.push_back(c->take_window_utilization(sim.loop().now()));
+  }
+  return out;
+}
+
+TEST(SnapshotEquivalence, PendingInstantWorkFoldsAfterRestore) {
+  // The checkpoint lands while sub-tick work waits in the instant buckets of
+  // parked stations. The restored run folds it in its first tick, the
+  // uninterrupted run at a later touch; both add the same samples in the
+  // same order, so every station's window, collected or not, matches bit
+  // for bit at a later point off the collection grid.
+  const std::string text = two_site_text();
+  const double t1 = 61.37;
+  const double t2 = 97.31;
+  auto plain = make_sim(text, SchedulerMode::kActiveSet);
+  plain->run_until_seconds(t2);
+  ASSERT_NE(plain->loop().now() % plain->loop().config().collect_every, 0);
+  const std::vector<double> want = station_windows(*plain);
+
+  auto warm = make_sim(text, SchedulerMode::kActiveSet);
+  warm->run_until_seconds(t1);
+  std::size_t pending = 0;
+  for (Component* c : warm->scenario().topology->all_components()) {
+    if (c->instant_pending()) ++pending;
+  }
+  ASSERT_GT(pending, 0u) << "no instant work pending at the checkpoint";
+  const std::vector<std::uint8_t> snap = warm->save_state();
+
+  auto resumed = make_sim(text, SchedulerMode::kActiveSet);
+  resumed->load_state(snap);
+  resumed->run_until_seconds(t2);
+  EXPECT_EQ(station_windows(*resumed), want);
+}
+
 TEST(SnapshotEquivalence, RestoresAcrossScheduler) {
   // Save on a dense-sweep run; restore under the active-set scheduler. The
   // fingerprint must still match the uninterrupted run — the snapshot

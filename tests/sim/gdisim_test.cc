@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace gdisim {
 namespace {
 
@@ -62,6 +64,20 @@ TEST(GdiSimulator, WorkIsActuallySimulated) {
   }
   EXPECT_GT(completed, 10u);
   EXPECT_GT(sim.collector().find("cpu/NA/app")->max_value(), 0.01);
+}
+
+TEST(GdiSimulator, RejectsIntervalsBeyondTheTickRange) {
+  // A collection interval or horizon past 2^63 ticks cannot be reached:
+  // refused, never cast into a wrapped tick count.
+  for (double every : {1e300, std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    SimulatorConfig cfg;
+    cfg.collect_every_s = every;
+    EXPECT_THROW(GdiSimulator sim(small_validation(), cfg), std::invalid_argument) << every;
+  }
+  GdiSimulator sim(small_validation());
+  EXPECT_THROW(sim.run_until_seconds(1e300), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(sim.now_seconds(), 0.0);
 }
 
 TEST(GdiSimulator, RejectsNonzeroThreads) {

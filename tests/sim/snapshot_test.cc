@@ -295,6 +295,39 @@ INSTANTIATE_TEST_SUITE_P(Stations, StationSnapshot,
                            return std::string(tpi.param.name);
                          });
 
+TEST(SnapshotLayer, InstantWorkKeepsItsTickAcrossRestore) {
+  // Sub-tick work accounted in the interaction phase of iteration 0 is the
+  // sample for tick 2, and it is still in its bucket at the snapshot. A job
+  // then keeps the station busy in tick 2, so the sample must fold with that
+  // busy tick, min(1, 1.0 + 0.4), in the uninterrupted and the restored run
+  // alike. Folding it as an idle sample of an earlier tick would add 0.4.
+  auto drive = [](NicComponent& nic, RecordingHandler& h) {
+    nic.on_tick(1);
+    nic.submit(2, /*sender=*/1, /*seq=*/0, StageJob{2e7, &h, 5, 1});
+    nic.on_interactions(2);
+    nic.on_tick(2);
+    return nic.take_window_utilization(3);
+  };
+  NicComponent a(NicSpec{1e9});
+  a.set_tick_seconds(0.01);
+  a.on_tick(0);
+  a.on_interactions(1);
+  a.account_instant(4e6, 1);
+  HandlerRegistry reg;
+  StateArchive w(StateArchive::Mode::kWrite);
+  a.archive_state(w, reg);
+
+  NicComponent b(NicSpec{1e9});
+  b.set_tick_seconds(0.01);
+  StateArchive r = StateArchive::reader(w.payload());
+  b.archive_state(r, reg);
+  RecordingHandler ha;
+  RecordingHandler hb;
+  const double want = drive(a, ha);
+  EXPECT_DOUBLE_EQ(want, 1.0 / 3.0);
+  EXPECT_EQ(drive(b, hb), want);
+}
+
 TEST(SnapshotLayer, StationRejectsShareCountMismatch) {
   // A job table whose outstanding count disagrees with the queue entries
   // pointing at the record would leave a job that never completes: the load

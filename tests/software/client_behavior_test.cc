@@ -37,6 +37,24 @@ ClientPopulationConfig base_config() {
   return cfg;
 }
 
+TEST(ClientBehavior, ThinkTimeBeyondTheTickRangeMeansOneLaunchPerClient) {
+  // A think time too long for the tick range is "never": each of the four
+  // clients runs one operation and then thinks for good, instead of a
+  // wrapped ready tick relaunching it at once.
+  for (ThinkTimeModel model : {ThinkTimeModel::kFixed, ThinkTimeModel::kExponential}) {
+    ClientPopulationConfig cfg = base_config();
+    cfg.think_time_mean_s = 1e300;
+    cfg.think_model = model;
+    ClientWorld world(cfg);
+    std::size_t launches = 0;
+    world.clients().set_launch_recorder(
+        [&launches](double, const std::string&, DcId, DcId, double) { ++launches; });
+    world.loop->run_for_seconds(600.0);
+    EXPECT_EQ(launches, 4u);
+    EXPECT_EQ(world.clients().completed_operations(), 4u);
+  }
+}
+
 TEST(ClientBehavior, SessionScriptFollowsOrder) {
   ClientPopulationConfig cfg = base_config();
   cfg.behavior = ClientBehavior::kSessionScript;

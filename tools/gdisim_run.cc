@@ -23,9 +23,10 @@
 //                            (GDISIM_TICK_PROFILE builds only)
 //
 // Exit codes: 0 success; 2 bad command line (unknown flag, missing or
-// malformed value — the message names the flag); 1 anything that fails
-// after parsing (scenario file errors as `file:line: why`, unwritable output
-// paths, snapshot restore errors as `path:byte N: why`).
+// malformed value, an --hours horizon beyond the tick range — the message
+// names the flag); 1 anything that fails after parsing (scenario file errors
+// as `file:line: why`, unwritable output paths, snapshot restore errors as
+// `path:byte N: why`, a scale too big for memory).
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -33,6 +34,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -267,6 +269,15 @@ int run(const CliOptions& opt) {
             << "\n";
 
   Scenario scenario = make_scenario(opt);
+  // Absolute horizon: a restored run continues to the same end tick the
+  // uninterrupted run would reach, so fingerprints stay comparable.
+  const double horizon_s = opt.hours * 3600.0;
+  if (TickClock(scenario.tick_seconds).to_ticks(horizon_s) == kNeverTick) {
+    std::cerr << "gdisim_run: --hours: " << opt.hours << " h is beyond the tick range; at a "
+              << scenario.tick_seconds << " s tick the longest run is "
+              << 0x1p63 * scenario.tick_seconds / 3600.0 << " h\n";
+    return 2;
+  }
   SimulatorConfig cfg;
   cfg.collect_every_s = opt.scenario == "validation" ? 6.0 : 30.0;
   if (opt.dense_sweep) cfg.scheduler = SchedulerMode::kDenseSweep;
@@ -279,9 +290,6 @@ int run(const CliOptions& opt) {
               << "\n";
   }
 
-  // Absolute horizon: a restored run continues to the same end tick the
-  // uninterrupted run would reach, so fingerprints stay comparable.
-  const double horizon_s = opt.hours * 3600.0;
   if (!opt.checkpoint_path.empty() && opt.checkpoint_every_s > 0.0) {
     double next_cp = sim.now_seconds() + opt.checkpoint_every_s;
     while (next_cp < horizon_s) {
@@ -371,6 +379,18 @@ int main(int argc, char** argv) {
   const CliOptions opt = parse(argc, argv);
   try {
     return run(opt);
+  } catch (const std::bad_alloc&) {
+    // The scenario factories refuse a scale whose client slots cannot fit;
+    // this reports what slipped past that estimate with the same numbers.
+    std::cerr << "gdisim_run: out of memory; ";
+    if (opt.config_path.empty() && opt.scenario != "validation") {
+      std::cerr << describe_slot_memory(opt.scale, slot_memory(global_client_slots(opt.scale)));
+    } else {
+      std::cerr << "scale " << opt.scale << ": this process may use "
+                << static_cast<std::uint64_t>(slot_memory(0.0).limit_bytes) << " bytes";
+    }
+    std::cerr << "\n";
+    return 1;
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return 1;
