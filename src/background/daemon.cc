@@ -1,15 +1,16 @@
 #include "background/daemon.h"
 
-#include <algorithm>
-#include <vector>
+#include <utility>
 
 namespace gdisim {
 
 BackgroundDaemon::BackgroundDaemon(std::string name, DcId home_dc, OperationContext& ctx,
                                    TickClock clock, std::uint64_t seed)
-    : home_dc_(home_dc), ctx_(&ctx), clock_(clock), rng_(Rng(seed).split(name)) {
+    : home_dc_(home_dc),
+      clock_(clock),
+      rng_(Rng(seed).split(name)),
+      runs_(*this, ctx, stable_hash(name), /*catalog=*/nullptr) {
   set_name(std::move(name));
-  completions_.bind_owner(this);
 }
 
 void BackgroundDaemon::launch_run(std::unique_ptr<CascadeSpec> spec, BackgroundRunRecord record,
@@ -17,105 +18,29 @@ void BackgroundDaemon::launch_run(std::unique_ptr<CascadeSpec> spec, BackgroundR
   LaunchParams params;
   params.origin_dc = home_dc_;
   params.owner_dc = home_dc_;
-  params.size_mb = 0.0;
-  params.instance_serial = next_serial_++;
-  params.launcher_id = id();
-  params.rng_seed = stable_hash(name()) ^ (params.instance_serial * 0x9e3779b97f4a7c15ULL);
-
-  auto instance = make_instance(*spec, params);
-  OperationInstance* raw = instance.get();
-  live_.emplace(params.instance_serial,
-                LiveRun{std::move(spec), std::move(instance), std::move(record)});
-  raw->start(now);
-}
-
-std::unique_ptr<OperationInstance> BackgroundDaemon::make_instance(const CascadeSpec& spec,
-                                                                   LaunchParams params) {
-  return std::make_unique<OperationInstance>(
-      spec, *ctx_, params, [this](OperationInstance& inst, Tick end_tick) {
-        completions_.post(end_tick, id(), inst.params().instance_serial,
-                          CompletionMsg{&inst, end_tick});
-      });
+  runs_.launch(std::move(spec), params, std::move(record), now);
 }
 
 void BackgroundDaemon::archive_daemon_state(StateArchive& ar, HandlerRegistry& reg) {
   Agent::archive_state(ar, reg);
   ar.section("daemon");
   rng_.archive_state(ar);
-  ar.u64(next_serial_);
-
-  std::size_t nlive = live_.size();
-  ar.size_value(nlive);
-  if (ar.writing()) {
-    std::vector<std::uint64_t> serials;
-    serials.reserve(live_.size());
-    for (auto& [serial, run] : live_) serials.push_back(serial);
-    std::sort(serials.begin(), serials.end());
-    for (std::uint64_t serial : serials) {
-      LiveRun& run = live_.at(serial);
-      std::uint64_t s = serial;
-      ar.u64(s);
-      archive_cascade_spec(ar, *run.spec);
-      run.record.archive_state(ar);
-      reg.bind(id(), serial, run.instance.get());
-      run.instance->archive_state(ar, reg);
-    }
-  } else {
-    live_.clear();
-    for (std::size_t i = 0; i < nlive; ++i) {
-      std::uint64_t serial = 0;
-      ar.u64(serial);
-      auto spec = std::make_unique<CascadeSpec>();
-      archive_cascade_spec(ar, *spec);
-      BackgroundRunRecord record;
-      record.archive_state(ar);
-      LaunchParams params;
-      params.origin_dc = home_dc_;
-      params.owner_dc = home_dc_;
-      params.size_mb = 0.0;
-      params.instance_serial = serial;
-      params.launcher_id = id();
-      params.rng_seed = stable_hash(name()) ^ (serial * 0x9e3779b97f4a7c15ULL);
-      auto instance = make_instance(*spec, params);
-      reg.bind(id(), serial, instance.get());
-      instance->archive_state(ar, reg);
-      live_.emplace(serial,
-                    LiveRun{std::move(spec), std::move(instance), std::move(record)});
-    }
-  }
-
-  completions_.archive_state(ar, [this](StateArchive& a, CompletionMsg& msg) {
-    std::uint64_t serial = a.writing() ? msg.instance->params().instance_serial : 0;
-    a.u64(serial);
-    a.i64(msg.end_tick);
-    if (a.reading()) msg.instance = live_.at(serial).instance.get();
-  });
-
+  runs_.archive_state(ar, reg,
+                      [](StateArchive& a, BackgroundRunRecord& record) { record.archive_state(a); });
   ledger_.archive_state(ar);
   response_by_hour_.archive_state(ar);
   stats_.archive_state(ar);
 }
 
-std::size_t BackgroundDaemon::drain_completions(Tick now) {
-  std::size_t n = 0;
-  completions_.drain_visible_into(now, drain_scratch_);
-  for (auto& d : drain_scratch_) {
-    const CompletionMsg& msg = d.payload;
-    auto it = live_.find(msg.instance->params().instance_serial);
-    if (it == live_.end()) continue;
-    BackgroundRunRecord record = std::move(it->second.record);
-    record.duration_s = msg.instance->duration_seconds(clock_, msg.end_tick);
+void BackgroundDaemon::drain_completions(Tick now) {
+  runs_.drain(now, [this](const OperationInstance& inst, BackgroundRunRecord record,
+                          Tick end_tick) {
+    record.duration_s = inst.duration_seconds(clock_, end_tick);
     stats_.record(record.duration_s);
-    response_by_hour_.record(clock_.to_seconds(msg.end_tick) / 3600.0, record.duration_s);
-    // Move the live entry out before invoking the hook so re-entrant
-    // launches from the hook are safe.
-    LiveRun done = std::move(it->second);
-    live_.erase(it);
+    response_by_hour_.record(clock_.to_seconds(end_tick) / 3600.0, record.duration_s);
     ledger_.record(record);
-    on_run_complete(record, msg.end_tick);
-    ++n;
-  }
-  return n;
+    on_run_complete(record, end_tick);
+  });
 }
 
 }  // namespace gdisim

@@ -17,7 +17,7 @@ IndexBuildDaemon::IndexBuildDaemon(IndexBuildConfig config, const DataGrowthMode
 }
 
 void IndexBuildDaemon::on_tick(Tick now) {
-  if (running_ || now < next_launch_) return;
+  if (runs_in_flight() > 0 || now < next_launch_) return;
   GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kBackground);
 
   const double now_hour = clock().to_seconds(now) / 3600.0;
@@ -36,14 +36,12 @@ void IndexBuildDaemon::on_tick(Tick now) {
   record.cover_to_hour = now_hour;
   record.total_mb = volume_mb;
 
-  running_ = true;
   auto spec = std::make_unique<CascadeSpec>(
       make_indexbuild_cascade(home_dc(), volume_mb, config_.index_parallelism));
   launch_run(std::move(spec), std::move(record), now);
 }
 
 void IndexBuildDaemon::on_run_complete(const BackgroundRunRecord& /*record*/, Tick end_tick) {
-  running_ = false;
   next_launch_ = saturating_add(end_tick, delay_ticks_);
 }
 

@@ -37,7 +37,7 @@ class IndexBuildDaemon final : public BackgroundDaemon {
   /// wake); otherwise it sleeps until the launch-after-completion deadline.
   Tick next_wake_tick(Tick next_now) const override {
     if (completions_pending()) return next_now;
-    if (running_) return kNeverTick;
+    if (runs_in_flight() > 0) return kNeverTick;
     return std::max(next_launch_, next_now);
   }
 
@@ -49,7 +49,6 @@ class IndexBuildDaemon final : public BackgroundDaemon {
   void archive_state(StateArchive& ar, HandlerRegistry& reg) override {
     archive_daemon_state(ar, reg);
     ar.section("indexbuild");
-    ar.boolean(running_);
     ar.i64(next_launch_);
     ar.f64(cover_from_hour_);
   }
@@ -63,7 +62,6 @@ class IndexBuildDaemon final : public BackgroundDaemon {
   // movable) and the model is read-only here.
   DataGrowthModel growth_;  // ARCHIVE-TRANSIENT: construction-time configuration
   AccessPatternMatrix apm_;  // ARCHIVE-TRANSIENT: construction-time configuration
-  bool running_ = false;
   Tick next_launch_ = 0;
   Tick delay_ticks_ = 1;  // ARCHIVE-TRANSIENT: derived from config at construction
   double cover_from_hour_ = 0.0;

@@ -100,12 +100,10 @@ void OpStatsTable::rebuild_views() const {
 ClientPopulation::ClientPopulation(ClientPopulationConfig config, const OperationCatalog& catalog,
                                    OperationContext& ctx, TickClock clock)
     : config_(std::move(config)),
-      catalog_(&catalog),
-      ctx_(&ctx),
       clock_(clock),
-      rng_(Rng(config_.seed).split(config_.name)) {
+      rng_(Rng(config_.seed).split(config_.name)),
+      ops_(*this, ctx, stable_hash(config_.name), &catalog) {
   set_name("clients/" + config_.name);
-  completions_.bind_owner(this);
   if (config_.behavior == ClientBehavior::kSessionScript && config_.session_script.empty()) {
     throw std::invalid_argument("ClientPopulation: session script behavior without a script");
   }
@@ -124,12 +122,9 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config, const Operatio
   // launch granularity is negligible against multi-second think times.
   scan_every_ = std::max<Tick>(1, clock_.to_ticks(0.25));
 
-  name_hash_ = stable_hash(config_.name);
-  live_by_slot_.resize(slots_.size());
-  // Every slot can have at most one operation in flight, so the completion
-  // inbox never holds more than slot-capacity deliveries: reserve that once
-  // and the mailbox never regrows mid-run.
-  completions_.reserve_total(slots_.size());
+  // Every slot has at most one operation in flight: size the table for all
+  // of them once and it never regrows mid-run.
+  ops_.reserve(slots_.size());
   op_stats_.init(catalog, /*with_binned=*/true);
   mix_specs_.reserve(config_.mix.entries().size());
   for (const auto& [op, weight] : config_.mix.entries()) {
@@ -137,16 +132,12 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config, const Operatio
   }
   script_specs_.reserve(config_.session_script.size());
   for (const auto& op : config_.session_script) script_specs_.push_back(&catalog.get(op));
-  done_ = [this](OperationInstance& inst, Tick end_tick) {
-    completions_.post(end_tick, id(), inst.params().instance_serial,
-                      CompletionMsg{&inst, inst.params().launcher_tag, end_tick});
-  };
   rebuild_wake_index();
 }
 
 std::size_t ClientPopulation::bytes_per_slot() {
-  return sizeof(Slot) + sizeof(std::unique_ptr<OperationInstance>) +
-         sizeof(Delivery<CompletionMsg>) + sizeof(ThinkEntry);
+  return sizeof(Slot) + InFlightOperations<std::uint32_t>::bytes_per_operation() +
+         sizeof(ThinkEntry);
 }
 
 SlotMemory slot_memory(double slots) {
@@ -233,7 +224,7 @@ void ClientPopulation::on_tick(Tick now) {
   for (std::uint32_t idx : launch_scratch_) launch(idx, now);
 }
 
-void ClientPopulation::launch(std::size_t slot_idx, Tick now) {
+void ClientPopulation::launch(std::uint32_t slot_idx, Tick now) {
   Slot& slot = slots_[slot_idx];
   const CascadeSpec* spec =
       config_.behavior == ClientBehavior::kSessionScript
@@ -250,53 +241,27 @@ void ClientPopulation::launch(std::size_t slot_idx, Tick now) {
   params.origin_dc = config_.dc;
   params.owner_dc = owner;
   params.size_mb = size_mb;
-  params.instance_serial = next_serial_++;
-  params.launcher_id = id();
-  params.rng_seed = name_hash_ ^ (params.instance_serial * 0x9e3779b97f4a7c15ULL);
-  params.launcher_tag = static_cast<std::uint32_t>(slot_idx);
-
-  auto instance = acquire_instance(*spec, params);
-  OperationInstance* raw = instance.get();
-  live_by_slot_[slot_idx] = std::move(instance);
   slot.busy = true;
-  ++active_;
   if (recorder_) recorder_(clock_.to_seconds(now), spec->name, config_.dc, owner, size_mb);
-  raw->start(now);
-}
-
-std::unique_ptr<OperationInstance> ClientPopulation::acquire_instance(
-    const CascadeSpec& spec, const LaunchParams& params) {
-  if (!instance_pool_.empty()) {
-    auto instance = std::move(instance_pool_.back());
-    instance_pool_.pop_back();
-    instance->reset(spec, params);
-    return instance;
-  }
-  return std::make_unique<OperationInstance>(spec, *ctx_, params, done_);
+  ops_.launch(*spec, params, slot_idx, now);
 }
 
 void ClientPopulation::on_interactions(Tick now) {
-  completions_.drain_visible_into(now, drain_scratch_);
-  for (auto& d : drain_scratch_) {
-    const CompletionMsg& msg = d.payload;
-    const double duration = msg.instance->duration_seconds(clock_, msg.end_tick);
-    const double end_hour = clock_.to_seconds(msg.end_tick) / 3600.0;
-    const std::uint32_t op_id = msg.instance->op_id();
-    op_stats_.record(op_id, duration);
-    op_stats_.record_binned(op_id, end_hour, duration);
-    ++completed_;
+  ops_.drain(now, [this](const OperationInstance& inst, std::uint32_t slot_idx, Tick end_tick) {
+    const double duration = inst.duration_seconds(clock_, end_tick);
+    const double end_hour = clock_.to_seconds(end_tick) / 3600.0;
+    op_stats_.record(inst.op_id(), duration);
+    op_stats_.record_binned(inst.op_id(), end_hour, duration);
 
-    Slot& slot = slots_[msg.slot];
+    Slot& slot = slots_[slot_idx];
     slot.busy = false;
     const double think = config_.think_model == ThinkTimeModel::kFixed
                              ? config_.think_time_mean_s
                              : rng_.next_exponential(config_.think_time_mean_s);
-    slot.ready_at = saturating_add(msg.end_tick, clock_.to_ticks(think));
-    --active_;
-    think_heap_.emplace_back(slot.ready_at, static_cast<std::uint32_t>(msg.slot));
+    slot.ready_at = saturating_add(end_tick, clock_.to_ticks(think));
+    think_heap_.emplace_back(slot.ready_at, slot_idx);
     std::push_heap(think_heap_.begin(), think_heap_.end(), std::greater<>());
-    instance_pool_.push_back(std::move(live_by_slot_[msg.slot]));
-  }
+  });
 }
 
 void ClientPopulation::archive_state(StateArchive& ar, HandlerRegistry& reg) {
@@ -312,91 +277,15 @@ void ClientPopulation::archive_state(StateArchive& ar, HandlerRegistry& reg) {
     ar.u32(slot.script_pos);
   }
   ar.i64(next_scan_);
-  ar.u64(next_serial_);
   ar.size_value(logged_in_);
-  ar.size_value(active_);
-  ar.u64(completed_);
-
-  // Live operations travel sorted by serial. Every instance is (re)bound in
-  // the handler registry under (launcher id, serial) before any component
-  // archives the queue entries that point at it.
-  std::size_t nlive = 0;
-  for (const auto& inst : live_by_slot_) {
-    if (inst) ++nlive;
-  }
-  ar.size_value(nlive);
-  if (ar.writing()) {
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> order;  // (serial, slot)
-    order.reserve(nlive);
-    for (std::size_t i = 0; i < live_by_slot_.size(); ++i) {
-      if (live_by_slot_[i]) {
-        order.emplace_back(live_by_slot_[i]->params().instance_serial,
-                           static_cast<std::uint32_t>(i));
-      }
+  ops_.archive_state(ar, reg, [this](StateArchive& a, std::uint32_t& slot_idx) {
+    a.u32(slot_idx);
+    if (a.reading() && slot_idx >= slots_.size()) {
+      throw std::runtime_error("snapshot: " + name() + ": an operation names client slot " +
+                               std::to_string(slot_idx) + " of a " +
+                               std::to_string(slots_.size()) + "-slot population");
     }
-    std::sort(order.begin(), order.end());
-    for (const auto& [serial, slot_idx] : order) {
-      OperationInstance* inst = live_by_slot_[slot_idx].get();
-      std::uint64_t s = serial;
-      ar.u64(s);
-      std::string op_name = inst->op_name();
-      ar.str(op_name);
-      std::uint32_t owner = inst->params().owner_dc;
-      ar.u32(owner);
-      double size_mb = inst->params().size_mb;
-      ar.f64(size_mb);
-      std::size_t slot_sz = slot_idx;
-      ar.size_value(slot_sz);
-      reg.bind(id(), serial, inst);
-      inst->archive_state(ar, reg);
-    }
-  } else {
-    live_by_slot_.clear();
-    live_by_slot_.resize(slots_.size());
-    instance_pool_.clear();
-    for (std::size_t i = 0; i < nlive; ++i) {
-      std::uint64_t serial = 0;
-      ar.u64(serial);
-      std::string op_name;
-      ar.str(op_name);
-      std::uint32_t owner = kInvalidDc;
-      ar.u32(owner);
-      double size_mb = 0.0;
-      ar.f64(size_mb);
-      std::size_t slot_idx = 0;
-      ar.size_value(slot_idx);
-      LaunchParams params;
-      params.origin_dc = config_.dc;
-      params.owner_dc = owner;
-      params.size_mb = size_mb;
-      params.instance_serial = serial;
-      params.launcher_id = id();
-      params.rng_seed = name_hash_ ^ (serial * 0x9e3779b97f4a7c15ULL);
-      params.launcher_tag = static_cast<std::uint32_t>(slot_idx);
-      auto instance = std::make_unique<OperationInstance>(catalog_->get(op_name), *ctx_,
-                                                          params, done_);
-      reg.bind(id(), serial, instance.get());
-      instance->archive_state(ar, reg);
-      live_by_slot_.at(slot_idx) = std::move(instance);
-    }
-  }
-
-  // Pending completion messages re-link their instance pointer through the
-  // freshly-rebuilt live table.
-  std::unordered_map<std::uint64_t, OperationInstance*> by_serial;
-  if (ar.reading()) {
-    for (const auto& inst : live_by_slot_) {
-      if (inst) by_serial.emplace(inst->params().instance_serial, inst.get());
-    }
-  }
-  completions_.archive_state(ar, [&by_serial](StateArchive& a, CompletionMsg& msg) {
-    std::uint64_t serial = a.writing() ? msg.instance->params().instance_serial : 0;
-    a.u64(serial);
-    a.size_value(msg.slot);
-    a.i64(msg.end_tick);
-    if (a.reading()) msg.instance = by_serial.at(serial);
   });
-
   op_stats_.archive_state(ar);
   if (ar.reading()) rebuild_wake_index();
 }
@@ -405,49 +294,28 @@ SeriesLauncher::SeriesLauncher(SeriesLauncherConfig config, const OperationCatal
                                OperationContext& ctx, TickClock clock)
     : config_(std::move(config)),
       catalog_(&catalog),
-      ctx_(&ctx),
       clock_(clock),
-      rng_(Rng(config_.seed).split(config_.name)) {
+      rng_(Rng(config_.seed).split(config_.name)),
+      ops_(*this, ctx, stable_hash(config_.name), &catalog) {
   set_name("series/" + config_.name);
-  completions_.bind_owner(this);
   interval_ticks_ = std::max<Tick>(1, clock_.to_ticks(config_.interval_s));
   if (config_.stop_after_s >= 0.0) stop_tick_ = clock_.to_ticks(config_.stop_after_s);
-  name_hash_ = stable_hash(config_.name);
   op_stats_.init(catalog, /*with_binned=*/false);
 }
 
 void SeriesLauncher::on_tick(Tick now) {
   if (now >= next_launch_ && now < stop_tick_ && !config_.series.empty()) {
-    launch_op(nullptr, Run{0}, now);
+    launch(0, now);
     next_launch_ = saturating_add(now, interval_ticks_);
   }
 }
 
-void SeriesLauncher::launch_op(OperationInstance* /*prev*/, Run run, Tick now) {
-  const SeriesOp& so = config_.series[run.next_op];
-
+void SeriesLauncher::launch(std::size_t pos, Tick now) {
+  const SeriesOp& so = config_.series[pos];
   LaunchParams params;
   params.origin_dc = config_.dc;
-  params.owner_dc = kInvalidDc;
   params.size_mb = so.size_mb;
-  params.instance_serial = next_serial_++;
-  params.launcher_id = id();
-  params.rng_seed = name_hash_ ^ (params.instance_serial * 0x9e3779b97f4a7c15ULL);
-
-  auto instance = make_instance(so, params);
-  OperationInstance* raw = instance.get();
-  live_.emplace(params.instance_serial, LiveOp{std::move(instance), run});
-  raw->start(now);
-}
-
-std::unique_ptr<OperationInstance> SeriesLauncher::make_instance(const SeriesOp& so,
-                                                                 LaunchParams params) {
-  return std::make_unique<OperationInstance>(
-      catalog_->get(so.op), *ctx_, params,
-      [this](OperationInstance& inst, Tick end_tick) {
-        completions_.post(end_tick, id(), inst.params().instance_serial,
-                          CompletionMsg{&inst, end_tick});
-      });
+  ops_.launch(catalog_->get(so.op), params, pos, now);
 }
 
 void SeriesLauncher::archive_state(StateArchive& ar, HandlerRegistry& reg) {
@@ -455,73 +323,20 @@ void SeriesLauncher::archive_state(StateArchive& ar, HandlerRegistry& reg) {
   ar.section("series_launcher");
   rng_.archive_state(ar);
   ar.i64(next_launch_);
-  ar.u64(next_serial_);
   ar.u64(series_completed_);
-
-  std::size_t nlive = live_.size();
-  ar.size_value(nlive);
-  if (ar.writing()) {
-    std::vector<std::uint64_t> serials;
-    serials.reserve(live_.size());
-    for (auto& [serial, op] : live_) serials.push_back(serial);
-    std::sort(serials.begin(), serials.end());
-    for (std::uint64_t serial : serials) {
-      LiveOp& op = live_.at(serial);
-      std::uint64_t s = serial;
-      ar.u64(s);
-      ar.size_value(op.run.next_op);
-      reg.bind(id(), serial, op.instance.get());
-      op.instance->archive_state(ar, reg);
-    }
-  } else {
-    live_.clear();
-    for (std::size_t i = 0; i < nlive; ++i) {
-      std::uint64_t serial = 0;
-      ar.u64(serial);
-      Run run;
-      ar.size_value(run.next_op);
-      const SeriesOp& so = config_.series.at(run.next_op);
-      LaunchParams params;
-      params.origin_dc = config_.dc;
-      params.owner_dc = kInvalidDc;
-      params.size_mb = so.size_mb;
-      params.instance_serial = serial;
-      params.launcher_id = id();
-      params.rng_seed = name_hash_ ^ (serial * 0x9e3779b97f4a7c15ULL);
-      auto instance = make_instance(so, params);
-      reg.bind(id(), serial, instance.get());
-      instance->archive_state(ar, reg);
-      live_.emplace(serial, LiveOp{std::move(instance), run});
-    }
-  }
-
-  completions_.archive_state(ar, [this](StateArchive& a, CompletionMsg& msg) {
-    std::uint64_t serial = a.writing() ? msg.instance->params().instance_serial : 0;
-    a.u64(serial);
-    a.i64(msg.end_tick);
-    if (a.reading()) msg.instance = live_.at(serial).instance.get();
-  });
-
+  ops_.archive_state(ar, reg, [](StateArchive& a, std::size_t& pos) { a.size_value(pos); });
   op_stats_.archive_state(ar);
 }
 
 void SeriesLauncher::on_interactions(Tick now) {
-  completions_.drain_visible_into(now, drain_scratch_);
-  for (auto& d : drain_scratch_) {
-    const CompletionMsg& msg = d.payload;
-    const double duration = msg.instance->duration_seconds(clock_, msg.end_tick);
-    op_stats_.record(msg.instance->op_id(), duration);
-
-    Run run = live_.at(msg.instance->params().instance_serial).run;
-    live_.erase(msg.instance->params().instance_serial);
-
-    run.next_op += 1;
-    if (run.next_op < config_.series.size()) {
-      launch_op(nullptr, run, now);
+  ops_.drain(now, [this, now](const OperationInstance& inst, std::size_t pos, Tick end_tick) {
+    op_stats_.record(inst.op_id(), inst.duration_seconds(clock_, end_tick));
+    if (++pos < config_.series.size()) {
+      launch(pos, now);
     } else {
       ++series_completed_;
     }
-  }
+  });
 }
 
 }  // namespace gdisim

@@ -25,12 +25,12 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/agent.h"
 #include "core/rng.h"
 #include "software/catalog.h"
+#include "software/in_flight.h"
 #include "software/operation.h"
 #include "software/workload.h"
 
@@ -198,7 +198,7 @@ class ClientPopulation final : public Agent {
   /// Sleeps until the next launch-scan boundary; operation completions post
   /// to the inbox, which wakes the population immediately.
   Tick next_wake_tick(Tick next_now) const override {
-    if (!completions_.empty()) return next_now;
+    if (ops_.completions_pending()) return next_now;
     return std::max(next_scan_, next_now);
   }
 
@@ -206,8 +206,8 @@ class ClientPopulation final : public Agent {
   /// double, so an absurd peak cannot overflow the count).
   static double slots_for_peak(double peak) { return std::floor(peak) + 1.0; }
 
-  /// Bytes one client slot costs: the slot, its in-flight instance pointer,
-  /// its reserved completion delivery and its think-heap entry.
+  /// Bytes one client slot costs: the slot, its share of the in-flight
+  /// table (one operation per slot) and its think-heap entry.
   static std::size_t bytes_per_slot();
 
   void set_owner_sampler(OwnerSampler sampler) { owner_sampler_ = std::move(sampler); }
@@ -216,19 +216,18 @@ class ClientPopulation final : public Agent {
   /// Target logged-in population right now.
   std::size_t logged_in() const { return logged_in_; }
   /// Clients with an operation currently in flight.
-  std::size_t active() const { return active_; }
+  std::size_t active() const { return ops_.size(); }
 
   const std::map<std::string, OpStats>& stats() const { return op_stats_.stats_view(); }
   const std::map<std::string, BinnedResponse>& binned() const {
     return op_stats_.binned_view();
   }
   const ClientPopulationConfig& config() const { return config_; }
-  std::uint64_t completed_operations() const { return completed_; }
+  std::uint64_t completed_operations() const { return ops_.launched() - ops_.size(); }
   std::size_t slot_count() const { return slots_.size(); }
 
-  /// Snapshot round trip: client slots, in-flight operations (rebuilt from
-  /// the catalog and re-bound in the handler registry), pending completions
-  /// (re-linked by instance serial), and response statistics.
+  /// Snapshot round trip: client slots, the in-flight table (each
+  /// operation's Extra is its slot) and response statistics.
   void archive_state(StateArchive& ar, HandlerRegistry& reg) override;
 
  private:
@@ -237,25 +236,14 @@ class ClientPopulation final : public Agent {
     bool busy = false;
     std::uint32_t script_pos = 0;
   };
-  struct CompletionMsg {
-    /// Resolved on restore via the instance serial, never serialized.
-    OperationInstance* instance;  // NOLINT(gdisim-snapshot-ptr) travels as (launcher id, serial)
-    std::size_t slot;
-    Tick end_tick;
-  };
   /// Min-heap entry of the think-time wake index: (ready_at, slot index).
   using ThinkEntry = std::pair<Tick, std::uint32_t>;
 
-  void launch(std::size_t slot, Tick now);
-  std::unique_ptr<OperationInstance> acquire_instance(const CascadeSpec& spec,
-                                                      const LaunchParams& params);
+  void launch(std::uint32_t slot, Tick now);
   void rebuild_wake_index();
   void park(std::uint32_t idx);
 
-  ClientPopulationConfig config_;
-  // Construction-time wiring, identical in the restored process.
-  const OperationCatalog* catalog_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
-  OperationContext* ctx_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
+  ClientPopulationConfig config_;  // ARCHIVE-TRANSIENT: construction-time configuration
   TickClock clock_;  // ARCHIVE-TRANSIENT: tick<->seconds conversion fixed at construction
   Rng rng_;
   OwnerSampler owner_sampler_;  // ARCHIVE-TRANSIENT: stateless callback; draws come from the archived rng_
@@ -263,19 +251,12 @@ class ClientPopulation final : public Agent {
   std::vector<Slot> slots_;
   Tick scan_every_ = 1;  // ARCHIVE-TRANSIENT: derived from config at construction
   Tick next_scan_ = 0;
-  std::uint64_t name_hash_ = 0;  // ARCHIVE-TRANSIENT: stable_hash(config.name), cached
   /// Mix entries / session script pre-resolved to catalog specs so a launch
   /// never does a string-keyed lookup.
   std::vector<const CascadeSpec*> mix_specs_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
   std::vector<const CascadeSpec*> script_specs_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
-  OperationInstance::DoneFn done_;  // ARCHIVE-TRANSIENT: completion callback wiring, shared by all instances
-  /// In-flight operation per slot (at most one: a busy client is exactly a
-  /// client with an operation in flight). Snapshots key entries by the
-  /// instance serial — a stable id, never an address.
-  std::vector<std::unique_ptr<OperationInstance>> live_by_slot_;
-  /// Finished instances recycled into later launches; keeps each instance's
-  /// branch/stage vectors warm and removes the per-launch allocation.
-  std::vector<std::unique_ptr<OperationInstance>> instance_pool_;  // ARCHIVE-TRANSIENT: allocation recycling pool, logically empty
+  /// The operations in flight, one per busy slot; each carries its slot.
+  InFlightOperations<std::uint32_t> ops_;
   // Launch-scan wake index (rebuilt from slots_ on restore): every non-busy
   // slot is exactly once in the think-heap (still thinking or not yet
   // examined) or the parked list (ready but above the logged-in waterline).
@@ -284,13 +265,8 @@ class ClientPopulation final : public Agent {
   std::uint32_t parked_min_ = kNoParked;  // ARCHIVE-TRANSIENT: derived index over slots_
   bool parked_sorted_ = true;  // ARCHIVE-TRANSIENT: derived index over slots_
   std::vector<std::uint32_t> launch_scratch_;  // ARCHIVE-TRANSIENT: per-scan scratch
-  std::vector<Delivery<CompletionMsg>> drain_scratch_;  // ARCHIVE-TRANSIENT: per-wake scratch
   static constexpr std::uint32_t kNoParked = kMaxPeak + 1;
-  Inbox<CompletionMsg> completions_;
-  std::uint64_t next_serial_ = 0;
   std::size_t logged_in_ = 0;
-  std::size_t active_ = 0;
-  std::uint64_t completed_ = 0;
   OpStatsTable op_stats_;
 };
 
@@ -337,51 +313,34 @@ class SeriesLauncher final : public Agent {
   /// Sleeps until the next scheduled series entry; parked for good once the
   /// stop time passes (completions still arrive via inbox wakes).
   Tick next_wake_tick(Tick next_now) const override {
-    if (!completions_.empty()) return next_now;
+    if (ops_.completions_pending()) return next_now;
     if (config_.series.empty() || next_launch_ >= stop_tick_) return kNeverTick;
     return std::max(next_launch_, next_now);
   }
 
   /// Series currently in flight (the "concurrent clients" of Figure 5-6).
-  std::size_t concurrent() const { return live_.size(); }
+  std::size_t concurrent() const { return ops_.size(); }
   std::uint64_t series_completed() const { return series_completed_; }
   const std::map<std::string, OpStats>& stats() const { return op_stats_.stats_view(); }
 
-  /// Snapshot round trip; live series are rebuilt from (serial, next_op).
+  /// Snapshot round trip; each in-flight operation's Extra is its position
+  /// in the series.
   void archive_state(StateArchive& ar, HandlerRegistry& reg) override;
 
  private:
-  struct Run {
-    std::size_t next_op = 0;
-  };
-  struct LiveOp {
-    std::unique_ptr<OperationInstance> instance;
-    Run run;
-  };
-  struct CompletionMsg {
-    /// Resolved on restore via the instance serial, never serialized.
-    OperationInstance* instance;  // NOLINT(gdisim-snapshot-ptr) travels as (launcher id, serial)
-    Tick end_tick;
-  };
+  /// Launches the operation at `pos` of a series.
+  void launch(std::size_t pos, Tick now);
 
-  void launch_op(OperationInstance* prev, Run run, Tick now);
-  std::unique_ptr<OperationInstance> make_instance(const SeriesOp& so, LaunchParams params);
-
-  SeriesLauncherConfig config_;
+  SeriesLauncherConfig config_;  // ARCHIVE-TRANSIENT: construction-time configuration
   // Construction-time wiring, identical in the restored process.
   const OperationCatalog* catalog_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
-  OperationContext* ctx_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
   TickClock clock_;  // ARCHIVE-TRANSIENT: tick<->seconds conversion fixed at construction
   Rng rng_;
   Tick next_launch_ = 0;
   Tick interval_ticks_ = 1;  // ARCHIVE-TRANSIENT: derived from config at construction
   Tick stop_tick_ = kNeverTick;  // ARCHIVE-TRANSIENT: derived from config at construction
-  std::uint64_t name_hash_ = 0;  // ARCHIVE-TRANSIENT: stable_hash(config.name), cached
-  /// In-flight series keyed by instance serial (stable id, never an address).
-  std::unordered_map<std::uint64_t, LiveOp> live_;
-  Inbox<CompletionMsg> completions_;
-  std::vector<Delivery<CompletionMsg>> drain_scratch_;  // ARCHIVE-TRANSIENT: per-wake scratch
-  std::uint64_t next_serial_ = 0;
+  /// The operations in flight, one per running series client.
+  InFlightOperations<std::size_t> ops_;
   std::uint64_t series_completed_ = 0;
   OpStatsTable op_stats_;
 };

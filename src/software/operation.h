@@ -65,8 +65,8 @@ struct LaunchParams {
   std::uint64_t instance_serial = 0;  ///< per-launcher, deterministic
   AgentId launcher_id = kInvalidAgent;
   std::uint64_t rng_seed = 0;  ///< instance RNG stream seed
-  /// Opaque launcher bookkeeping (ClientPopulation stores the slot index) so
-  /// completion callbacks need not capture per-launch state.
+  /// Opaque launcher bookkeeping (the in-flight table stores the entry
+  /// index) so completion callbacks need not capture per-launch state.
   std::uint32_t launcher_tag = 0;
 };
 

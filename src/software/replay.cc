@@ -1,10 +1,14 @@
 #include "software/replay.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 namespace gdisim {
 
@@ -22,35 +26,82 @@ void WorkloadTrace::finalize() {
   });
 }
 
+namespace {
+
+/// Shortest text that reads back as exactly `v`.
+void put_double(std::ostream& os, double v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  os.write(buf, end - buf);
+}
+
+[[noreturn]] void bad_field(int line, const char* field, std::string_view text) {
+  throw std::invalid_argument("line " + std::to_string(line) + ": " + field + ": bad value '" +
+                              std::string(text) + "'");
+}
+
+/// The whole field as a finite number >= 0.
+double non_negative(int line, const char* field, std::string_view text) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 0.0) {
+    bad_field(line, field, text);
+  }
+  return v;
+}
+
+/// The whole field as a data center id.
+DcId dc_id(int line, const char* field, std::string_view text) {
+  DcId v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v == kInvalidDc) bad_field(line, field, text);
+  return v;
+}
+
+}  // namespace
+
 void WorkloadTrace::save(std::ostream& os) const {
   os << "t_seconds,op,origin,owner,size_mb\n";
   for (const TraceEntry& e : entries_) {
-    os << e.t_seconds << ',' << e.op << ',' << e.origin << ','
-       << (e.owner == kInvalidDc ? -1 : static_cast<long long>(e.owner)) << ',' << e.size_mb
-       << '\n';
+    put_double(os, e.t_seconds);
+    os << ',' << e.op << ',' << e.origin << ','
+       << (e.owner == kInvalidDc ? -1 : static_cast<long long>(e.owner)) << ',';
+    put_double(os, e.size_mb);
+    os << '\n';
   }
 }
 
 WorkloadTrace WorkloadTrace::load(std::istream& is) {
   WorkloadTrace trace;
-  std::string line;
-  if (!std::getline(is, line)) throw std::invalid_argument("WorkloadTrace: empty stream");
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string field;
+  std::string text;
+  if (!std::getline(is, text)) throw std::invalid_argument("WorkloadTrace: empty stream");
+  int line = 1;
+  std::vector<std::string_view> fields;
+  while (std::getline(is, text)) {
+    ++line;
+    if (text.empty()) continue;
+    fields.clear();
+    for (std::size_t from = 0;;) {
+      const std::size_t comma = text.find(',', from);
+      fields.emplace_back(text.data() + from,
+                          (comma == std::string::npos ? text.size() : comma) - from);
+      if (comma == std::string::npos) break;
+      from = comma + 1;
+    }
+    if (fields.size() != 5) {
+      throw std::invalid_argument("line " + std::to_string(line) + ": expected 5 fields, got " +
+                                  std::to_string(fields.size()));
+    }
     TraceEntry e;
-    if (!std::getline(ls, field, ',')) throw std::invalid_argument("WorkloadTrace: bad row");
-    e.t_seconds = std::stod(field);
-    if (!std::getline(ls, e.op, ',')) throw std::invalid_argument("WorkloadTrace: bad row");
-    if (!std::getline(ls, field, ',')) throw std::invalid_argument("WorkloadTrace: bad row");
-    e.origin = static_cast<DcId>(std::stoul(field));
-    if (!std::getline(ls, field, ',')) throw std::invalid_argument("WorkloadTrace: bad row");
-    const long long owner = std::stoll(field);
-    e.owner = owner < 0 ? kInvalidDc : static_cast<DcId>(owner);
-    if (!std::getline(ls, field, ',')) throw std::invalid_argument("WorkloadTrace: bad row");
-    e.size_mb = std::stod(field);
-    trace.record(e);
+    e.t_seconds = non_negative(line, "t_seconds", fields[0]);
+    if (fields[1].empty()) bad_field(line, "op", fields[1]);
+    e.op = fields[1];
+    e.origin = dc_id(line, "origin", fields[2]);
+    e.owner = fields[3] == "-1" ? kInvalidDc : dc_id(line, "owner", fields[3]);
+    e.size_mb = non_negative(line, "size_mb", fields[4]);
+    trace.record(std::move(e));
   }
   trace.finalize();
   return trace;
@@ -65,116 +116,54 @@ LaunchRecorder WorkloadTrace::recorder() {
 
 TraceLauncher::TraceLauncher(const WorkloadTrace& trace, const OperationCatalog& catalog,
                              OperationContext& ctx, TickClock clock, std::uint64_t seed)
-    : trace_(&trace), catalog_(&catalog), ctx_(&ctx), clock_(clock), seed_(seed) {
+    : trace_(&trace), catalog_(&catalog), clock_(clock), ops_(*this, ctx, seed, &catalog) {
   set_name("replay");
-  completions_.bind_owner(this);
+  const std::size_t dcs = ctx.topology().dc_count();
+  const auto& entries = trace.entries();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const TraceEntry& e = entries[i];
+    const auto reject = [&](const std::string& why) {
+      std::ostringstream at;
+      at << "TraceLauncher: entry " << i << " (" << e.op << " at " << e.t_seconds << " s): " << why;
+      throw std::invalid_argument(at.str());
+    };
+    const auto check_dc = [&](const char* field, DcId dc) {
+      if (dc >= dcs) {
+        reject(std::string(field) + " " + std::to_string(dc) + " is not one of the topology's " +
+               std::to_string(dcs) + " data centers");
+      }
+    };
+    check_dc("origin", e.origin);
+    if (e.owner != kInvalidDc) check_dc("owner", e.owner);
+    if (!catalog.contains(e.op)) reject("operation '" + e.op + "' is not in the catalog");
+  }
+  op_stats_.init(catalog, /*with_binned=*/false);
 }
 
 void TraceLauncher::on_tick(Tick now) {
   const double t = clock_.to_seconds(now);
   const auto& entries = trace_->entries();
-  while (cursor_ < entries.size() && entries[cursor_].t_seconds <= t) {
-    const TraceEntry& e = entries[cursor_];
-
+  while (launched() < entries.size() && entries[launched()].t_seconds <= t) {
+    const TraceEntry& e = entries[launched()];
     LaunchParams params;
     params.origin_dc = e.origin;
     params.owner_dc = e.owner;
     params.size_mb = e.size_mb;
-    params.instance_serial = cursor_;
-    params.launcher_id = id();
-    params.rng_seed = seed_ ^ (static_cast<std::uint64_t>(cursor_) * 0x9e3779b97f4a7c15ULL);
-
-    auto instance = make_instance(e, params);
-    OperationInstance* raw = instance.get();
-    live_.emplace(params.instance_serial, std::move(instance));
-    raw->start(now);
-    ++cursor_;
+    ops_.launch(catalog_->get(e.op), params, {}, now);
   }
-}
-
-std::unique_ptr<OperationInstance> TraceLauncher::make_instance(const TraceEntry& e,
-                                                                LaunchParams params) {
-  return std::make_unique<OperationInstance>(
-      catalog_->get(e.op), *ctx_, params, [this](OperationInstance& inst, Tick end_tick) {
-        completions_.post(end_tick, id(), inst.params().instance_serial,
-                          CompletionMsg{&inst, end_tick});
-      });
 }
 
 void TraceLauncher::archive_state(StateArchive& ar, HandlerRegistry& reg) {
   Agent::archive_state(ar, reg);
   ar.section("trace_launcher");
-  ar.size_value(cursor_);
-  ar.u64(completed_);
-
-  std::size_t nlive = live_.size();
-  ar.size_value(nlive);
-  if (ar.writing()) {
-    std::vector<std::uint64_t> serials;
-    serials.reserve(live_.size());
-    for (auto& [serial, op] : live_) serials.push_back(serial);
-    std::sort(serials.begin(), serials.end());
-    for (std::uint64_t serial : serials) {
-      std::uint64_t s = serial;
-      ar.u64(s);
-      OperationInstance* instance = live_.at(serial).get();
-      reg.bind(id(), serial, instance);
-      instance->archive_state(ar, reg);
-    }
-  } else {
-    live_.clear();
-    for (std::size_t i = 0; i < nlive; ++i) {
-      std::uint64_t serial = 0;
-      ar.u64(serial);
-      // The serial is the cursor position the entry was launched from, so
-      // every launch parameter comes straight back out of the trace.
-      const TraceEntry& e = trace_->entries().at(serial);
-      LaunchParams params;
-      params.origin_dc = e.origin;
-      params.owner_dc = e.owner;
-      params.size_mb = e.size_mb;
-      params.instance_serial = serial;
-      params.launcher_id = id();
-      params.rng_seed = seed_ ^ (serial * 0x9e3779b97f4a7c15ULL);
-      auto instance = make_instance(e, params);
-      reg.bind(id(), serial, instance.get());
-      instance->archive_state(ar, reg);
-      live_.emplace(serial, std::move(instance));
-    }
-  }
-
-  completions_.archive_state(ar, [this](StateArchive& a, CompletionMsg& msg) {
-    std::uint64_t serial = a.writing() ? msg.instance->params().instance_serial : 0;
-    a.u64(serial);
-    a.i64(msg.end_tick);
-    if (a.reading()) msg.instance = live_.at(serial).get();
-  });
-
-  std::size_t nstats = stats_.size();
-  ar.size_value(nstats);
-  if (ar.writing()) {
-    for (auto& [name, s] : stats_) {
-      std::string key = name;
-      ar.str(key);
-      s.archive_state(ar);
-    }
-  } else {
-    stats_.clear();
-    for (std::size_t i = 0; i < nstats; ++i) {
-      std::string key;
-      ar.str(key);
-      stats_[key].archive_state(ar);
-    }
-  }
+  ops_.archive_state(ar, reg, [](StateArchive&, std::monostate&) {});
+  op_stats_.archive_state(ar);
 }
 
 void TraceLauncher::on_interactions(Tick now) {
-  for (auto& d : completions_.drain_visible(now)) {
-    const CompletionMsg& msg = d.payload;
-    stats_[msg.instance->op_name()].record(msg.instance->duration_seconds(clock_, msg.end_tick));
-    ++completed_;
-    live_.erase(msg.instance->params().instance_serial);
-  }
+  ops_.drain(now, [this](const OperationInstance& inst, std::monostate, Tick end_tick) {
+    op_stats_.record(inst.op_id(), inst.duration_seconds(clock_, end_tick));
+  });
 }
 
 }  // namespace gdisim

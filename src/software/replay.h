@@ -10,13 +10,14 @@
 #include <algorithm>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/agent.h"
 #include "software/catalog.h"
 #include "software/client.h"
+#include "software/in_flight.h"
 #include "software/operation.h"
 
 namespace gdisim {
@@ -42,7 +43,13 @@ class WorkloadTrace {
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// CSV round trip: "t_seconds,op,origin,owner,size_mb".
+  /// CSV round trip: "t_seconds,op,origin,owner,size_mb", one launch a
+  /// row after a header line. Every number is written so that it reads
+  /// back bit-exact. Loading parses each field whole and throws
+  /// std::invalid_argument naming the line and field ("line 3: origin: bad
+  /// value '-1'") unless a row has exactly 5 fields, a finite time and size
+  /// >= 0, an origin that is a data center id and an owner that is one or
+  /// -1 (the master).
   void save(std::ostream& os) const;
   static WorkloadTrace load(std::istream& is);
 
@@ -58,6 +65,9 @@ class WorkloadTrace {
 /// at its recorded instant with its recorded origin/owner/size.
 class TraceLauncher final : public Agent {
  public:
+  /// Throws std::invalid_argument naming the entry when an entry's origin or
+  /// owner is not a data center of the topology, or its operation is not in
+  /// the catalog.
   TraceLauncher(const WorkloadTrace& trace, const OperationCatalog& catalog,
                 OperationContext& ctx, TickClock clock, std::uint64_t seed = 1);
 
@@ -67,43 +77,29 @@ class TraceLauncher final : public Agent {
   /// Sleeps until the next trace entry is due; parked once the trace is
   /// exhausted (completions still arrive via inbox wakes).
   Tick next_wake_tick(Tick next_now) const override {
-    if (!completions_.empty()) return next_now;
+    if (ops_.completions_pending()) return next_now;
     const auto& entries = trace_->entries();
-    if (cursor_ >= entries.size()) return kNeverTick;
-    return std::max(next_now, clock_.to_ticks(entries[cursor_].t_seconds));
+    if (launched() >= entries.size()) return kNeverTick;
+    return std::max(next_now, clock_.to_ticks(entries[launched()].t_seconds));
   }
 
-  std::size_t launched() const { return cursor_; }
-  std::size_t in_flight() const { return live_.size(); }
-  std::uint64_t completed() const { return completed_; }
-  const std::map<std::string, OpStats>& stats() const { return stats_; }
+  /// Entries launched so far; the next launch replays entries()[launched()].
+  std::size_t launched() const { return static_cast<std::size_t>(ops_.launched()); }
+  std::size_t in_flight() const { return ops_.size(); }
+  std::uint64_t completed() const { return ops_.launched() - ops_.size(); }
+  const std::map<std::string, OpStats>& stats() const { return op_stats_.stats_view(); }
 
-  /// Snapshot round trip; live operations are rebuilt from their trace
-  /// cursor position (the instance serial IS the cursor index).
+  /// Snapshot round trip: the in-flight table (launch serials are trace
+  /// positions) and the response statistics.
   void archive_state(StateArchive& ar, HandlerRegistry& reg) override;
 
  private:
-  struct CompletionMsg {
-    /// Resolved on restore via the instance serial, never serialized.
-    OperationInstance* instance;  // NOLINT(gdisim-snapshot-ptr) travels as (launcher id, serial)
-    Tick end_tick;
-  };
-
-  std::unique_ptr<OperationInstance> make_instance(const TraceEntry& e, LaunchParams params);
-
   // Construction-time wiring, identical in the restored process.
-  const WorkloadTrace* trace_;       // NOLINT(gdisim-snapshot-ptr) construction-time wiring
+  const WorkloadTrace* trace_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
   const OperationCatalog* catalog_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
-  OperationContext* ctx_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
   TickClock clock_;  // ARCHIVE-TRANSIENT: tick<->seconds conversion fixed at construction
-  std::uint64_t seed_;
-  std::size_t cursor_ = 0;
-  /// In-flight operations keyed by instance serial (stable id, never an
-  /// address).
-  std::unordered_map<std::uint64_t, std::unique_ptr<OperationInstance>> live_;
-  Inbox<CompletionMsg> completions_;
-  std::uint64_t completed_ = 0;
-  std::map<std::string, OpStats> stats_;
+  InFlightOperations<std::monostate> ops_;
+  OpStatsTable op_stats_;
 };
 
 }  // namespace gdisim

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "config/loader.h"
+#include "config/scenarios.h"
 #include "sim/fingerprint.h"
 #include "sim/gdisim.h"
 
@@ -135,6 +136,55 @@ TEST(SnapshotEquivalence, PendingInstantWorkFoldsAfterRestore) {
   resumed->load_state(snap);
   resumed->run_until_seconds(t2);
   EXPECT_EQ(station_windows(*resumed), want);
+}
+
+/// Validation experiment `experiment` as gdisim_run runs it: 38 minutes,
+/// launches stopping three minutes before the end, collection every 6 s.
+std::unique_ptr<GdiSimulator> make_validation(int experiment) {
+  ValidationOptions v;
+  v.experiment = experiment;
+  v.seed = 42;
+  v.stop_launch_s = 35.0 * 60.0;
+  return std::make_unique<GdiSimulator>(make_validation_scenario(v), SimulatorConfig{6.0});
+}
+
+/// Checkpoints a validation experiment at three instants with series in
+/// flight; each restore re-saves the same bytes and finishes with the
+/// uninterrupted run's fingerprint.
+void expect_series_restore_equivalence(int experiment) {
+  constexpr double kEnd = 38.0 * 60.0;
+  auto plain = make_validation(experiment);
+  std::vector<std::vector<std::uint8_t>> snaps;
+  for (const double t : {301.37, 900.0, 1500.5}) {
+    plain->run_until_seconds(t);
+    std::size_t in_flight = 0;
+    for (auto& l : plain->scenario().launchers) in_flight += l->concurrent();
+    EXPECT_GT(in_flight, 0u) << "no series in flight at " << t << " s";
+    snaps.push_back(plain->save_state());
+  }
+  plain->run_until_seconds(kEnd);
+  const std::uint64_t want = result_fingerprint(*plain);
+
+  for (const std::vector<std::uint8_t>& snap : snaps) {
+    auto resumed = make_validation(experiment);
+    resumed->load_state(snap);
+    const double t = resumed->now_seconds();
+    EXPECT_EQ(resumed->save_state(), snap) << "restored at " << t << " s";
+    resumed->run_until_seconds(kEnd);
+    EXPECT_EQ(result_fingerprint(*resumed), want) << "restored at " << t << " s";
+  }
+}
+
+TEST(SnapshotEquivalence, ValidationExperiment1SeriesInFlight) {
+  expect_series_restore_equivalence(1);
+}
+
+TEST(SnapshotEquivalence, ValidationExperiment2SeriesInFlight) {
+  expect_series_restore_equivalence(2);
+}
+
+TEST(SnapshotEquivalence, ValidationExperiment3SeriesInFlight) {
+  expect_series_restore_equivalence(3);
 }
 
 TEST(SnapshotEquivalence, RestoresAcrossScheduler) {

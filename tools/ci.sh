@@ -24,8 +24,9 @@
 #            and a fresh process that restores the snapshot must both produce
 #            the uninterrupted run's fingerprint (release and audit binaries)
 #   sanitize-snapshot  the snapshot/archive test suite (round trips,
-#            corruption rollback, restore equivalence) under ASan+UBSan and
-#            standalone UBSan builds
+#            corruption rollback, restore equivalence) and the in-flight
+#            operation table tests under ASan+UBSan and standalone UBSan
+#            builds
 #   perf-smoke  bench_scale_frontier in fast mode with a tiny tick budget;
 #            fails when the bench exits nonzero or its JSON is missing,
 #            malformed, or lacks the required fields
@@ -251,7 +252,7 @@ run_sanitize_snapshot() {
     cmake --build --preset "$preset" -j "$JOBS"
     echo "--- [$preset] snapshot/archive tests ---"
     ctest --preset "$preset" -j "$JOBS" \
-        -R 'Snapshot|StateArchive|ArchiveCorruption'
+        -R 'Snapshot|StateArchive|ArchiveCorruption|InFlightOperations'
   done
   echo "sanitize-snapshot: snapshot suite clean under both sanitizer builds"
 }
