@@ -17,15 +17,8 @@ int main() {
 
   const double hours = bench::fast_mode() ? 12.0 : 24.0;
   const double start_h = bench::fast_mode() ? 8.0 : 0.0;
-  bench::Stopwatch sw;
   if (start_h > 0) sim.run_for(start_h * 3600.0);
   sim.run_for(hours * 3600.0);
-  const double wall = sw.seconds();
-
-  bench::JsonResult json("fig_6_14_background");
-  json.set_run("consolidated", wall, static_cast<double>(sim.loop().now()),
-               sim.loop().scheduler_stats());
-  json.write();
 
   SynchRepDaemon* sr = sim.scenario().synchreps.at(0).get();
   IndexBuildDaemon* ib = sim.scenario().indexbuilds.at(0).get();

@@ -7,7 +7,7 @@
 
 #include "bench_scenario_scalability.h"
 #include "bench_util.h"
-#include "core/h_dispatch.h"
+#include "ch4/h_dispatch.h"
 
 using namespace gdisim;
 
@@ -57,19 +57,11 @@ int main() {
   const Tick ticks = bench::fast_mode() ? 500 : 2000;
   TableReport t({"# of Threads", "Wall time (s)", "Speedup (x)", "Linear (x)",
                  "Dispatch overhead (ns/handler)"});
-  bench::JsonResult json("scalability_h_dispatch");
-  json.set("scenario", "busy-queue full load");
-  json.set("sim_ticks", static_cast<double>(ticks));
   double base = 0.0;
   for (std::size_t threads : {1u, 2u, 4u, 8u, 16u}) {
     HDispatchEngine engine(threads, 64);
     const double wall = run_ticks(engine, ticks);
-    if (threads == 1) {
-      base = wall;
-      json.set("wall_seconds", wall);
-      json.set("ticks_per_second", wall > 0.0 ? static_cast<double>(ticks) / wall : 0.0);
-    }
-    json.set("wall_seconds_t" + std::to_string(threads), wall);
+    if (threads == 1) base = wall;
     HDispatchEngine probe(threads, 64);
     t.add_row({std::to_string(threads), TableReport::fmt(wall, 2),
                TableReport::fmt(base / wall, 2), TableReport::fmt(double(threads), 2),
@@ -89,7 +81,6 @@ int main() {
     a.add_row({std::to_string(set), TableReport::fmt(run_ticks(engine, ticks), 2)});
   }
   a.print(std::cout);
-  json.write();
   environment_note();
   bench::footnote(
       "Thesis shape (Table 4.2): 1.7x @ 2 threads growing to ~8x @ 16 with "

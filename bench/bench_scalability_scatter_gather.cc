@@ -8,7 +8,7 @@
 
 #include "bench_scenario_scalability.h"
 #include "bench_util.h"
-#include "core/scatter_gather.h"
+#include "ch4/scatter_gather.h"
 
 using namespace gdisim;
 

@@ -15,8 +15,8 @@
 #include <memory>
 #include <vector>
 
+#include "ch4/engine.h"
 #include "core/agent.h"
-#include "core/engine.h"
 #include "queueing/fcfs_queue.h"
 
 namespace gdisim::bench {

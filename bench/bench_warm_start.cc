@@ -147,19 +147,6 @@ int main() {
             << (baseline_matches ? "yes" : "NO") << "; perturbed forks diverged: " << diverged
             << "/" << (n - 1) << "\n";
 
-  bench::JsonResult json("warm_start");
-  json.set("variants", static_cast<double>(n));
-  json.set("warm_prefix_s", warm_s);
-  json.set("window_s", end_s);
-  json.set("cold_wall_seconds", cold_seconds);
-  json.set("warmup_wall_seconds", warmup_seconds);
-  json.set("sweep_wall_seconds", sweep_seconds);
-  json.set("warm_wall_seconds", warm_seconds);
-  json.set("speedup", speedup);
-  json.set("baseline_fingerprint_match", baseline_matches ? 1.0 : 0.0);
-  json.set("perturbed_forks_diverged", static_cast<double>(diverged));
-  json.write();
-
   bench::footnote(
       "Expected: warm total ~= warmup + N * suffix, beating N cold windows "
       "whenever the shared prefix dominates; the baseline fork is "

@@ -1,4 +1,4 @@
-#include "core/coordination.h"
+#include "ch4/coordination.h"
 
 // The coordination primitives are header-only templates; this translation
 // unit exists to ensure the header is self-contained and to anchor vtables

@@ -22,7 +22,7 @@
 #include <variant>
 #include <vector>
 
-#include "core/port.h"
+#include "ch4/port.h"
 
 namespace gdisim {
 

@@ -1,4 +1,4 @@
-#include "core/dispatcher.h"
+#include "ch4/dispatcher.h"
 
 namespace gdisim {
 

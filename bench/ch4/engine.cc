@@ -1,4 +1,4 @@
-#include "core/engine.h"
+#include "ch4/engine.h"
 
 namespace gdisim {
 

@@ -1,4 +1,4 @@
-#include "core/h_dispatch.h"
+#include "ch4/h_dispatch.h"
 
 #include <algorithm>
 #include <thread>

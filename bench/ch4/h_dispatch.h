@@ -20,7 +20,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/engine.h"
+#include "ch4/engine.h"
 
 namespace gdisim {
 

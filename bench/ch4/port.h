@@ -16,7 +16,7 @@
 #include <optional>
 #include <utility>
 
-#include "core/dispatcher.h"
+#include "ch4/dispatcher.h"
 
 namespace gdisim {
 

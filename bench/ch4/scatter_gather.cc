@@ -1,4 +1,4 @@
-#include "core/scatter_gather.h"
+#include "ch4/scatter_gather.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -6,8 +6,8 @@
 #include <mutex>
 #include <vector>
 
-#include "core/coordination.h"
-#include "core/port.h"
+#include "ch4/coordination.h"
+#include "ch4/port.h"
 
 namespace gdisim {
 

@@ -15,8 +15,8 @@
 #include <mutex>
 #include <vector>
 
-#include "core/dispatcher.h"
-#include "core/engine.h"
+#include "ch4/dispatcher.h"
+#include "ch4/engine.h"
 
 namespace gdisim {
 

@@ -2,13 +2,14 @@
 
 #include <utility>
 
+#include "core/rng.h"
+
 namespace gdisim {
 
 BackgroundDaemon::BackgroundDaemon(std::string name, DcId home_dc, OperationContext& ctx,
-                                   TickClock clock, std::uint64_t seed)
+                                   TickClock clock)
     : home_dc_(home_dc),
       clock_(clock),
-      rng_(Rng(seed).split(name)),
       runs_(*this, ctx, stable_hash(name), /*catalog=*/nullptr) {
   set_name(std::move(name));
 }
@@ -24,7 +25,6 @@ void BackgroundDaemon::launch_run(std::unique_ptr<CascadeSpec> spec, BackgroundR
 void BackgroundDaemon::archive_daemon_state(StateArchive& ar, HandlerRegistry& reg) {
   Agent::archive_state(ar, reg);
   ar.section("daemon");
-  rng_.archive_state(ar);
   runs_.archive_state(ar, reg,
                       [](StateArchive& a, BackgroundRunRecord& record) { record.archive_state(a); });
   ledger_.archive_state(ar);

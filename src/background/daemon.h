@@ -14,7 +14,6 @@
 
 #include "background/file_catalog.h"
 #include "core/agent.h"
-#include "core/rng.h"
 #include "software/client.h"
 #include "software/in_flight.h"
 #include "software/operation.h"
@@ -23,8 +22,7 @@ namespace gdisim {
 
 class BackgroundDaemon : public Agent {
  public:
-  BackgroundDaemon(std::string name, DcId home_dc, OperationContext& ctx, TickClock clock,
-                   std::uint64_t seed);
+  BackgroundDaemon(std::string name, DcId home_dc, OperationContext& ctx, TickClock clock);
 
   const FreshnessLedger& ledger() const { return ledger_; }
   const BinnedResponse& response_by_hour() const { return response_by_hour_; }
@@ -48,18 +46,16 @@ class BackgroundDaemon : public Agent {
   virtual void on_run_complete(const BackgroundRunRecord& record, Tick end_tick) = 0;
 
   const TickClock& clock() const { return clock_; }
-  Rng& rng() { return rng_; }
 
-  /// Shared snapshot round trip for the daemon base: RNG, the in-flight
-  /// runs (each run's cascade spec travels in full, its record as the
-  /// table's Extra) and the ledger/statistics. Subclasses call this from
-  /// their archive_state override before their own scheduling fields.
+  /// Shared snapshot round trip for the daemon base: the in-flight runs
+  /// (each run's cascade spec travels in full, its record as the table's
+  /// Extra) and the ledger/statistics. Subclasses call this from their
+  /// archive_state override before their own scheduling fields.
   void archive_daemon_state(StateArchive& ar, HandlerRegistry& reg);
 
  private:
   DcId home_dc_;  // ARCHIVE-TRANSIENT: construction-time configuration
   TickClock clock_;  // ARCHIVE-TRANSIENT: tick<->seconds conversion fixed at construction
-  Rng rng_;
   /// The runs in flight, each with the record the ledger receives.
   InFlightOperations<BackgroundRunRecord> runs_;
   FreshnessLedger ledger_;

@@ -9,7 +9,7 @@ namespace gdisim {
 IndexBuildDaemon::IndexBuildDaemon(IndexBuildConfig config, const DataGrowthModel& growth,
                                    AccessPatternMatrix apm, OperationContext& ctx,
                                    TickClock clock)
-    : BackgroundDaemon(config.name, config.home_dc, ctx, clock, config.seed),
+    : BackgroundDaemon(config.name, config.home_dc, ctx, clock),
       config_(std::move(config)),
       growth_(growth),
       apm_(std::move(apm)) {
@@ -18,7 +18,6 @@ IndexBuildDaemon::IndexBuildDaemon(IndexBuildConfig config, const DataGrowthMode
 
 void IndexBuildDaemon::on_tick(Tick now) {
   if (runs_in_flight() > 0 || now < next_launch_) return;
-  GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kBackground);
 
   const double now_hour = clock().to_seconds(now) / 3600.0;
   const double from_hour = cover_from_hour_;

@@ -20,7 +20,6 @@ struct IndexBuildConfig {
   DcId home_dc = 0;
   double delay_after_completion_s = 5.0 * 60.0;
   std::vector<DcId> producer_dcs;  ///< data centers whose new files get indexed here
-  std::uint64_t seed = 1;
   /// §9.1.1 what-if: cores the index build may fork across (thesis: 1).
   unsigned index_parallelism = 1;
 };

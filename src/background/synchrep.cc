@@ -8,7 +8,7 @@ namespace gdisim {
 
 SynchRepDaemon::SynchRepDaemon(SynchRepConfig config, const DataGrowthModel& growth,
                                AccessPatternMatrix apm, OperationContext& ctx, TickClock clock)
-    : BackgroundDaemon(config.name, config.home_dc, ctx, clock, config.seed),
+    : BackgroundDaemon(config.name, config.home_dc, ctx, clock),
       config_(std::move(config)),
       growth_(growth),
       apm_(std::move(apm)) {
@@ -24,7 +24,6 @@ void SynchRepDaemon::on_run_complete(const BackgroundRunRecord& record, Tick end
 
 void SynchRepDaemon::on_tick(Tick now) {
   if (now < next_launch_) return;
-  GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kBackground);
   next_launch_ = saturating_add(now, interval_ticks_);
 
   const double now_hour = clock().to_seconds(now) / 3600.0;

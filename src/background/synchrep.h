@@ -23,7 +23,6 @@ struct SynchRepConfig {
   DcId home_dc = 0;
   double interval_s = 15.0 * 60.0;
   std::vector<DcId> participant_dcs;  ///< all data centers holding replicas
-  std::uint64_t seed = 1;
 };
 
 class SynchRepDaemon final : public BackgroundDaemon {

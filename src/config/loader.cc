@@ -411,7 +411,6 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
     cfg.home_dc = s.topology->find_dc(decl.dc);
     cfg.interval_s = decl.seconds;
     cfg.participant_dcs = all_dcs;
-    cfg.seed = seed;
     // A synchrep pulls from and pushes to every other data center.
     std::vector<std::pair<DcId, double>> others;
     for (DcId d : all_dcs) {
@@ -428,7 +427,6 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
     cfg.home_dc = s.topology->find_dc(decl.dc);
     cfg.delay_after_completion_s = decl.seconds;
     cfg.producer_dcs = all_dcs;
-    cfg.seed = seed;
     require_resolvable(*s.ctx, make_indexbuild_cascade(cfg.home_dc, 1.0, cfg.index_parallelism),
                        cfg.home_dc, source, decl.line, "indexbuild " + decl.dc);
     s.indexbuilds.push_back(std::make_unique<IndexBuildDaemon>(cfg, s.growth,

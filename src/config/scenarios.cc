@@ -163,7 +163,6 @@ Scenario make_validation_scenario(const ValidationOptions& options) {
     cfg.series = validation_series(size_mb);
     cfg.interval_s = interval;
     cfg.stop_after_s = options.stop_launch_s;
-    cfg.seed = options.seed;
     s.launchers.push_back(
         std::make_unique<SeriesLauncher>(cfg, *s.catalog, *s.ctx, clock));
   };
@@ -358,7 +357,6 @@ Scenario make_consolidated_scenario(const GlobalOptions& options) {
     sr.home_dc = s.master_dc;
     sr.interval_s = options.synchrep_interval_s;
     sr.participant_dcs = all_dcs();
-    sr.seed = options.seed;
     s.synchreps.push_back(std::make_unique<SynchRepDaemon>(
         sr, s.growth, AccessPatternMatrix(), *s.ctx, clock));
 
@@ -367,7 +365,6 @@ Scenario make_consolidated_scenario(const GlobalOptions& options) {
     ib.home_dc = s.master_dc;
     ib.delay_after_completion_s = options.indexbuild_delay_s;
     ib.producer_dcs = all_dcs();
-    ib.seed = options.seed;
     ib.index_parallelism = options.indexbuild_parallelism;
     s.indexbuilds.push_back(std::make_unique<IndexBuildDaemon>(
         ib, s.growth, AccessPatternMatrix(), *s.ctx, clock));
@@ -440,7 +437,6 @@ Scenario make_multimaster_scenario(const GlobalOptions& options) {
       sr.home_dc = d;
       sr.interval_s = options.synchrep_interval_s;
       sr.participant_dcs = all_dcs();
-      sr.seed = options.seed + d;
       s.synchreps.push_back(
           std::make_unique<SynchRepDaemon>(sr, s.growth, s.apm, *s.ctx, clock));
 
@@ -449,7 +445,6 @@ Scenario make_multimaster_scenario(const GlobalOptions& options) {
       ib.home_dc = d;
       ib.delay_after_completion_s = options.indexbuild_delay_s;
       ib.producer_dcs = all_dcs();
-      ib.seed = options.seed + 100 + d;
       ib.index_parallelism = options.indexbuild_parallelism;
       s.indexbuilds.push_back(
           std::make_unique<IndexBuildDaemon>(ib, s.growth, s.apm, *s.ctx, clock));

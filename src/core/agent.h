@@ -23,7 +23,6 @@
 
 #include "core/archive.h"
 #include "core/audit.h"
-#include "core/tick_profiler.h"
 #include "core/types.h"
 
 namespace gdisim {
@@ -161,9 +160,8 @@ class Inbox {
   void drain_visible_into(Tick now, std::vector<Delivery<T>>& ready) {
     ready.clear();
     // Agents poll their inbox every active tick and most polls find it
-    // empty; the bucket below counts only drains that actually move mail.
+    // empty.
     if (pending_.empty()) return;
-    GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kInbox);
     auto split = std::partition(pending_.begin(), pending_.end(),
                                 [now](const Delivery<T>& d) { return d.visible_at > now; });
     for (auto it = split; it != pending_.end(); ++it) ready.push_back(std::move(*it));

@@ -30,12 +30,14 @@ namespace {
 
 constexpr unsigned kCategories = static_cast<unsigned>(Category::kCount);
 
+// The simulator is serial, but audit builds of the Ch. 4 benches run the
+// FCFS queues these counters instrument on engine threads (bench/ch4/).
 struct State {
-  std::atomic<std::uint64_t> spawned[kCategories] = {};
-  std::atomic<std::uint64_t> completed[kCategories] = {};
-  std::atomic<std::uint64_t> drain_hash{0};
-  std::atomic<std::uint64_t> failures{0};
-  std::atomic<FailureHandler> handler{nullptr};
+  std::atomic<std::uint64_t> spawned[kCategories] = {};  // GDISIM-SHARED: relaxed job ledger
+  std::atomic<std::uint64_t> completed[kCategories] = {};  // GDISIM-SHARED: relaxed job ledger
+  std::atomic<std::uint64_t> drain_hash{0};  // GDISIM-SHARED: commutative drain fold
+  std::atomic<std::uint64_t> failures{0};  // GDISIM-SHARED: relaxed failure count
+  std::atomic<FailureHandler> handler{nullptr};  // GDISIM-SHARED: set by tests, read on failure
 };
 
 State& state() {

@@ -11,8 +11,9 @@
 // option GDISIM_AUDIT / the `audit` preset). In release builds every
 // GDISIM_AUDIT_* macro expands to `((void)0)` and no auditor state exists,
 // so the hooks are zero-cost. All counters are process-global atomics: the
-// queues they instrument also run on the Ch. 4 engine threads, and the
-// checks only need monotone counts, not per-component attribution.
+// simulator is serial, but the Ch. 4 benches (bench/ch4/) run the queues
+// they instrument on engine threads, and the checks only need monotone
+// counts, not per-component attribution.
 //
 // Failure policy: a tripped invariant calls the installed failure handler
 // with a description. The default handler prints the message and aborts;

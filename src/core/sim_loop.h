@@ -47,9 +47,9 @@ struct SimLoopConfig {
   SchedulerMode scheduler = SchedulerMode::kActiveSet;
 };
 
-/// Active-set occupancy counters (exposed as a collector series and by the
-/// bench JSON emitter). Under the dense sweep every agent counts as active,
-/// so occupancy() == 1.
+/// Active-set occupancy counters (exposed as a collector series, in
+/// gdisim_run's summary and in perfbench's core.* metrics). Under the dense
+/// sweep every agent counts as active, so occupancy() == 1.
 struct SchedulerStats {
   std::uint64_t iterations = 0;
   /// Sum over iterations of the interaction-phase active-set size.

@@ -30,7 +30,6 @@
 
 #include "core/agent.h"
 #include "core/audit.h"
-#include "core/tick_profiler.h"
 #include "core/types.h"
 #include "queueing/job.h"
 
@@ -110,7 +109,6 @@ class Component : public Agent {
   }
 
   void on_tick(Tick now) final {
-    GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kQueueing);
     fold_idle_samples(now);
     // What is left in this bucket is the work accounted at tick now - 1: any
     // accounting during tick `now` targets the other parity bucket.

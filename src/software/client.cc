@@ -185,7 +185,6 @@ void ClientPopulation::park(std::uint32_t idx) {
 
 void ClientPopulation::on_tick(Tick now) {
   if (now < next_scan_) return;
-  GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kWake);
   next_scan_ = now + scan_every_;
   const double hour = clock_.to_seconds(now) / 3600.0;
   logged_in_ = std::min(static_cast<std::size_t>(std::lround(config_.curve.at_hour(hour))),
@@ -295,7 +294,6 @@ SeriesLauncher::SeriesLauncher(SeriesLauncherConfig config, const OperationCatal
     : config_(std::move(config)),
       catalog_(&catalog),
       clock_(clock),
-      rng_(Rng(config_.seed).split(config_.name)),
       ops_(*this, ctx, stable_hash(config_.name), &catalog) {
   set_name("series/" + config_.name);
   interval_ticks_ = std::max<Tick>(1, clock_.to_ticks(config_.interval_s));
@@ -321,7 +319,6 @@ void SeriesLauncher::launch(std::size_t pos, Tick now) {
 void SeriesLauncher::archive_state(StateArchive& ar, HandlerRegistry& reg) {
   Agent::archive_state(ar, reg);
   ar.section("series_launcher");
-  rng_.archive_state(ar);
   ar.i64(next_launch_);
   ar.u64(series_completed_);
   ops_.archive_state(ar, reg, [](StateArchive& a, std::size_t& pos) { a.size_value(pos); });

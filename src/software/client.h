@@ -299,7 +299,6 @@ struct SeriesLauncherConfig {
   std::vector<SeriesOp> series;
   double interval_s = 15.0;  ///< a new series client enters this often
   double stop_after_s = -1.0;  ///< stop launching after this time (<0 = never)
-  std::uint64_t seed = 1;
 };
 
 class SeriesLauncher final : public Agent {
@@ -335,7 +334,6 @@ class SeriesLauncher final : public Agent {
   // Construction-time wiring, identical in the restored process.
   const OperationCatalog* catalog_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
   TickClock clock_;  // ARCHIVE-TRANSIENT: tick<->seconds conversion fixed at construction
-  Rng rng_;
   Tick next_launch_ = 0;
   Tick interval_ticks_ = 1;  // ARCHIVE-TRANSIENT: derived from config at construction
   Tick stop_tick_ = kNeverTick;  // ARCHIVE-TRANSIENT: derived from config at construction

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/audit.h"
-#include "core/tick_profiler.h"
 
 namespace gdisim {
 
@@ -252,7 +251,6 @@ void OperationInstance::archive_state(StateArchive& ar, HandlerRegistry& reg) {
 }
 
 void OperationInstance::build_route(const MessageSpec& m, BranchState& br, Tick now) {
-  GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kRouteBuild);
   const double size_mb = m.size_mb_override.value_or(params_.size_mb);
   const ResourceVector cost = m.fixed + m.per_mb * size_mb;
   Topology& topo = ctx_->topology();

@@ -1,4 +1,4 @@
-#include "core/coordination.h"
+#include "ch4/coordination.h"
 
 #include <gtest/gtest.h>
 

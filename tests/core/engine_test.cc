@@ -1,4 +1,4 @@
-#include "core/engine.h"
+#include "ch4/engine.h"
 
 #include <gtest/gtest.h>
 
@@ -6,8 +6,8 @@
 #include <numeric>
 #include <vector>
 
-#include "core/h_dispatch.h"
-#include "core/scatter_gather.h"
+#include "ch4/h_dispatch.h"
+#include "ch4/scatter_gather.h"
 
 namespace gdisim {
 namespace {

@@ -6,8 +6,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/coordination.h"
-#include "core/engine.h"
+#include "ch4/coordination.h"
+#include "ch4/engine.h"
 
 namespace gdisim {
 namespace {

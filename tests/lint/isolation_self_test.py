@@ -3,8 +3,8 @@
 
 Pins four behaviours so the analyzer cannot silently rot:
   1. each seeded fixture violation (cross-agent write from a tick path,
-     unguarded static/global, raw sync primitive, unannotated thread_local
-     buffer, reasonless annotation) is flagged at its exact line,
+     unguarded static/global, raw sync primitive or thread_local,
+     reasonless annotation) is flagged at its exact line,
   2. the sanctioned patterns (Inbox::post, own-state writes, const statics,
      annotated shared state) produce zero findings — no false positives,
   3. NOLINT suppression and the JSON schema match the gdisim_lint report
@@ -35,7 +35,7 @@ EXPECTED = {
     },
     "unguarded_shared.cc": {
         (6, "gdisim-unguarded-shared", False),    # int g_total
-        (9, "gdisim-thread-local-buffer", False),  # unannotated thread_local
+        (9, "gdisim-raw-sync", False),            # unannotated thread_local
         (11, "gdisim-isolation-annotation-no-reason", False),  # bare GDISIM-SHARED
         (14, "gdisim-unguarded-shared", False),   # static int hits
     },
@@ -44,7 +44,7 @@ EXPECTED = {
         (18, "gdisim-raw-sync", False),           # std::mutex mu_
     },
     "thread_local_buffer.cc": {
-        (12, "gdisim-thread-local-buffer", False),  # unannotated thread_local
+        (12, "gdisim-raw-sync", False),           # unannotated thread_local
     },
     "clean.cc": set(),
     "suppressed.cc": {

@@ -13,10 +13,11 @@
 #            // ARCHIVE-TRANSIENT, and save/load bodies stay symmetric
 #   isolation tools/lint/gdisim_isolation.py over src/: the agent-isolation
 #            model holds — no cross-agent writes from tick paths, no
-#            unguarded shared state, and sync primitives outside src/core/
-#            carry // GDISIM-SHARED reasons
-#   tidy     clang-tidy with the repo .clang-tidy profile (skipped with a
-#            notice when clang-tidy is not installed)
+#            unguarded shared state, and every sync primitive or thread_local
+#            in the thread-free src/ carries a // GDISIM-SHARED reason
+#   tidy     clang-tidy with the repo .clang-tidy profile over src/, tools/
+#            and the Ch. 4 runtime in bench/ch4/ (skipped with a notice when
+#            clang-tidy is not installed)
 #   smoke    determinism smoke: diff the release fingerprint of the
 #            consolidated scenario under the active-set scheduler against a
 #            --dense-sweep run (builds `release` if needed)
@@ -27,9 +28,6 @@
 #            corruption rollback, restore equivalence) and the in-flight
 #            operation table tests under ASan+UBSan and standalone UBSan
 #            builds
-#   perf-smoke  bench_scale_frontier in fast mode with a tiny tick budget;
-#            fails when the bench exits nonzero or its JSON is missing,
-#            malformed, or lacks the required fields
 #   shape    paper-shape gate: perfbench's consolidated_small (the scale-0.1
 #            day against the Ch. 6 bands) and validation_replicas (Ch. 5
 #            experiments 1-3 against Table 5.3) must each report
@@ -37,14 +35,14 @@
 #   release/audit/asan/ubsan/tsan   CMake presets: configure + build + ctest
 #
 # Sanitizer suites run the full tier-1 ctest set; on small hosts expect the
-# tsan leg to dominate wall time (the Ch. 4 engine and stress tests run
-# their thread pools hard on purpose).
+# tsan leg to dominate wall time (the suites of the Ch. 4 runtime in
+# bench/ch4/ run their thread pools hard on purpose).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 LEGS=("$@")
 if [ ${#LEGS[@]} -eq 0 ]; then
-  LEGS=(lint archive-coverage isolation release audit smoke perf-smoke shape snapshot sanitize-snapshot asan tsan)
+  LEGS=(lint archive-coverage isolation release audit smoke shape snapshot sanitize-snapshot asan tsan)
 fi
 
 JOBS="${JOBS:-$(nproc)}"
@@ -102,7 +100,7 @@ run_tidy() {
   fi
   cmake --preset release >/dev/null
   local sources
-  sources=$(git ls-files 'src/*.cc' 'tools/*.cc')
+  sources=$(git ls-files 'src/*.cc' 'tools/*.cc' 'bench/ch4/*.cc')
   if command -v run-clang-tidy >/dev/null 2>&1; then
     # shellcheck disable=SC2086
     run-clang-tidy -p build -quiet -j "$JOBS" $sources
@@ -175,41 +173,6 @@ run_snapshot() {
   echo "snapshot: restore and periodic-checkpoint runs match the uninterrupted fingerprint"
 }
 
-run_perf_smoke() {
-  echo "=== [perf-smoke] scale-frontier bench (fast mode) ==="
-  cmake --preset release >/dev/null
-  cmake --build --preset release -j "$JOBS" --target bench_scale_frontier >/dev/null
-  local workdir
-  workdir=$(mktemp -d)
-  trap 'rm -rf "${workdir:-}"; trap - RETURN' RETURN
-  GDISIM_BENCH_FAST=1 GDISIM_BENCH_JSON_DIR="$workdir" \
-      build/bench/bench_scale_frontier || {
-    echo "perf-smoke: bench_scale_frontier failed" >&2
-    return 1
-  }
-  local json="$workdir/BENCH_scale_frontier.json"
-  if [ ! -f "$json" ]; then
-    echo "perf-smoke: $json was not written" >&2
-    return 1
-  fi
-  # Malformed JSON or missing frontier fields both fail the leg: the bench
-  # JSON is the perf trajectory's raw material, so an emitter regression is
-  # a CI failure, not a silently empty chart.
-  python3 - "$json" <<'EOF' || return 1
-import json, sys
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-required = ["max_sustainable_scale", "max_sustainable_clients", "peak_rss_mb", "alloc_delta"]
-missing = [k for k in required if k not in data]
-per_scale = [k for k in data if k.startswith("s") and k.endswith("_ticks_per_second")]
-if missing:
-    sys.exit(f"perf-smoke: {sys.argv[1]} missing fields: {missing}")
-if not per_scale:
-    sys.exit(f"perf-smoke: {sys.argv[1]} has no per-scale ticks_per_second fields")
-print(f"perf-smoke: JSON ok ({len(per_scale)} scale points)")
-EOF
-}
-
 run_shape() {
   echo "=== [shape] paper-shape gate: perfbench correctness ==="
   local workload result
@@ -235,11 +198,11 @@ EOF
 
 run_tsan() {
   run_preset tsan
-  # Pin the suites that actually start threads — the Ch. 4 engines, the
-  # dispatcher/port/coordination runtime and their stress tests — under
+  # Pin the only suites that start threads — those of the Ch. 4 runtime in
+  # bench/ch4/ (engines, dispatcher, ports, coordination, stress) — under
   # -fsanitize=thread even when CTEST_ARGS filtered them out of the main
-  # pass. Scenario runs are single-threaded and have nothing to race.
-  echo "--- [tsan] Ch. 4 engine, dispatcher, coordination and stress suites ---"
+  # pass. src/ holds no thread, so scenario runs have nothing to race.
+  echo "--- [tsan] Ch. 4 runtime suites (bench/ch4/) ---"
   ctest --preset tsan -j "$JOBS" --output-on-failure \
       -R '^(AllEngines|[A-Za-z]*Engine|[A-Za-z]*Stress|Dispatcher|Port|[A-Za-z]*Receiver|Interleave|Choice)[./]'
 }
@@ -265,7 +228,6 @@ for leg in "${LEGS[@]}"; do
     tidy) run_tidy ;;
     smoke) run_smoke ;;
     snapshot) run_snapshot ;;
-    perf-smoke) run_perf_smoke ;;
     shape) run_shape ;;
     sanitize-snapshot) run_sanitize_snapshot ;;
     tsan) run_tsan ;;

@@ -19,8 +19,6 @@
 //   --restore PATH           start from a snapshot instead of t=0 (the
 //                            scenario must be structurally identical;
 //                            --hours remains the absolute horizon)
-//   --tick-profile PATH      dump per-phase wall-clock buckets as JSON
-//                            (GDISIM_TICK_PROFILE builds only)
 //
 // Exit codes: 0 success; 2 bad command line (unknown flag, missing or
 // malformed value, an --hours horizon beyond the tick range — the message
@@ -43,7 +41,6 @@
 
 #include "config/loader.h"
 #include "core/audit.h"
-#include "core/tick_profiler.h"
 #include "sim/fingerprint.h"
 #include "sim/gdisim.h"
 
@@ -67,15 +64,13 @@ struct CliOptions {
   std::string checkpoint_path;
   double checkpoint_every_s = 0.0;
   std::string restore_path;
-  std::string tick_profile_path;
 };
 
 [[noreturn]] void usage() {
   std::cerr << "usage: gdisim_run [--scenario validation|consolidated|multimaster | --config FILE]\n"
                "       [--experiment 1|2|3] [--hours H] [--scale S] [--seed N]\n"
                "       [--csv PATH] [--dense-sweep] [--quiet] [--fingerprint] [--validate]\n"
-               "       [--checkpoint PATH] [--checkpoint-every S] [--restore PATH]\n"
-               "       [--tick-profile PATH]\n";
+               "       [--checkpoint PATH] [--checkpoint-every S] [--restore PATH]\n";
   std::exit(2);
 }
 
@@ -144,13 +139,6 @@ CliOptions parse(int argc, char** argv) {
       opt.checkpoint_every_s = parse_number<double>(arg, next(), positive);
     } else if (arg == "--restore") {
       opt.restore_path = next();
-    } else if (arg == "--tick-profile") {
-      opt.tick_profile_path = next();
-      if (!tickprof::kEnabled) {
-        std::cerr << "gdisim_run: --tick-profile needs a GDISIM_TICK_PROFILE build "
-                     "(cmake -DGDISIM_TICK_PROFILE=ON)\n";
-        std::exit(2);
-      }
     } else {
       std::cerr << "gdisim_run: unknown flag '" << arg << "'\n";
       usage();
@@ -259,7 +247,7 @@ int run(const CliOptions& opt) {
     return 0;
   }
 
-  for (const std::string* path : {&opt.checkpoint_path, &opt.csv_path, &opt.tick_profile_path}) {
+  for (const std::string* path : {&opt.checkpoint_path, &opt.csv_path}) {
     require_writable(*path);
   }
 
@@ -347,15 +335,6 @@ int run(const CliOptions& opt) {
     std::cout << "\n";
   }
 #endif
-
-  if (!opt.tick_profile_path.empty()) {
-    if (tickprof::dump_json(opt.tick_profile_path)) {
-      std::cout << "wrote tick profile to " << opt.tick_profile_path << "\n";
-    } else {
-      std::cerr << "cannot open " << opt.tick_profile_path << "\n";
-      return 1;
-    }
-  }
 
   if (!opt.csv_path.empty()) {
     std::ofstream out(opt.csv_path);

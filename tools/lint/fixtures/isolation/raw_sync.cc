@@ -1,5 +1,5 @@
-// Fixture: synchronization primitives declared outside src/core/ must carry
-// a GDISIM-SHARED reason so the concurrency inventory stays auditable.
+// Fixture: synchronization primitives in the thread-free simulator library
+// must carry a GDISIM-SHARED reason so the inventory stays auditable.
 // Lock *usage* (lock_guard) and annotated declarations are exempt.
 #include <atomic>
 #include <mutex>

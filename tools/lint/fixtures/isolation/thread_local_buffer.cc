@@ -1,8 +1,8 @@
-// Fixture: thread_local declarations must carry a GDISIM-SHARED reason.
-// Per-thread staging buffers (the deferred-post dirty lists) are written by
-// their owning thread inside a phase and consumed by the master at the
-// barrier — a cross-thread handoff with no lock, so the inventory must
-// record why it is sound. Annotated declarations are exempt.
+// Fixture: gdisim-raw-sync treats a thread_local like an atomic or a mutex.
+// Per-thread storage outlives the simulator that wrote it, and a
+// thread-free library has no use for it, so each declaration must carry a
+// GDISIM-SHARED reason for the shared-state inventory. Annotated
+// declarations are exempt.
 #include <cstddef>
 #include <vector>
 

@@ -6,7 +6,7 @@ namespace fixture {
 int g_total = 0;  // mutable global: flagged
 
 static const int kLimit = 64;       // const: exempt
-thread_local int tl_scratch = 0;    // exempt here; thread-local-buffer audits it
+thread_local int tl_scratch = 0;    // exempt here; raw-sync audits it
 int g_annotated = 0;  // GDISIM-SHARED: test-only tally, single writer
 int g_bare = 0;  // GDISIM-SHARED
 

@@ -2,22 +2,22 @@
 """gdisim concurrency-isolation analyzer.
 
 Statically proves the simulator's agent-isolation model (DESIGN.md
-"Concurrency model"). Scenario runs are serial, so the model no longer
-guards against data races there; it guards the §4.3.3 consistency rule and
-the equivalence of the dense sweep and the active-set scheduler, which both
-rest on results not depending on the order in which agents run:
+"Concurrency model"). The simulator library in ``src/`` starts no thread,
+so the model does not guard against data races; it guards the §4.3.3
+consistency rule and the equivalence of the dense sweep and the active-set
+scheduler, which both rest on results not depending on the order in which
+agents run:
 
   * during the tick phase each agent may mutate only its own state; all
     cross-agent effects travel through ``Inbox::post`` / port APIs, whose
     drains sort deliveries into a canonical order;
   * mutable static or global state outlives one simulator (tests and
-    examples build several per process) and is reachable from the Ch. 4
-    engine threads, so it must be atomic, lock-guarded, or explicitly
-    sanctioned with ``// GDISIM-SHARED: <reason>``;
-  * synchronization primitives belong to the Ch. 4 runtime in
-    ``src/core/``; one anywhere else must carry a
-    ``// GDISIM-SHARED: <reason>`` so the concurrency inventory stays
-    auditable.
+    examples build several per process), so one run could see what another
+    left behind: it must be const or explicitly sanctioned with
+    ``// GDISIM-SHARED: <reason>``;
+  * a synchronization primitive or ``thread_local`` in a thread-free
+    library is process-wide state by definition, so each one must carry a
+    ``// GDISIM-SHARED: <reason>`` and the inventory stays auditable.
 
 Rules:
 
@@ -28,15 +28,9 @@ Rules:
   gdisim-unguarded-shared       mutable static or namespace-scope global
                                 that is neither const, atomic, thread_local
                                 nor annotated GDISIM-SHARED
-  gdisim-raw-sync               atomic/mutex/spinlock declaration outside
-                                src/core/ without a GDISIM-SHARED
+  gdisim-raw-sync               atomic/mutex/spinlock or thread_local
+                                declaration without a GDISIM-SHARED
                                 annotation
-  gdisim-thread-local-buffer    a thread_local declaration without a
-                                GDISIM-SHARED annotation; per-thread storage
-                                is state another thread may hand off or
-                                read, so it is part of the auditable
-                                shared-state inventory even though no lock
-                                guards it
   gdisim-isolation-annotation-no-reason
                                 a GDISIM-SHARED annotation without a reason
   gdisim-nolint-reason          a NOLINT covering gdisim rules without a
@@ -79,20 +73,15 @@ RULES = {
         "(the §4.3.3 consistency rule, dense/active-set equivalence)",
     },
     "gdisim-unguarded-shared": {
-        "message": "mutable static/global state without synchronization "
-        "outlives one simulator and is reachable from the Ch. 4 engine "
-        "threads: make it atomic or lock-guarded, or sanction it with "
+        "message": "mutable static/global state outlives one simulator, so "
+        "a run can see what an earlier one in the same process left: make "
+        "it const or per-simulator, or sanction it with "
         "// GDISIM-SHARED: <reason>",
     },
     "gdisim-raw-sync": {
-        "message": "synchronization primitive declared outside src/core/, "
-        "where the simulation is single-threaded: keep the concurrency "
+        "message": "synchronization primitive or thread_local in the "
+        "thread-free simulator library is process-wide state: keep the "
         "inventory auditable with // GDISIM-SHARED: <reason>",
-    },
-    "gdisim-thread-local-buffer": {
-        "message": "thread_local declaration without a GDISIM-SHARED "
-        "annotation: per-thread storage is handed to or read by other "
-        "threads, so state why that is sound (// GDISIM-SHARED: <reason>)",
     },
     "gdisim-isolation-annotation-no-reason": {
         "message": "GDISIM-SHARED without a reason: state why the shared "
@@ -392,21 +381,17 @@ def _unguarded_shared_findings(code_lines, raw_lines, rel) -> list[dict]:
     return findings
 
 
-def _thread_local_findings(code_lines, raw_lines, rel) -> list[dict]:
-    """gdisim-thread-local-buffer: every thread_local declaration must be
-    sanctioned. Unlike raw-sync this applies inside src/core/ too: per-thread
-    storage there belongs to the Ch. 4 runtime, whose threads hand work to
-    one another."""
-    findings = []
-    rule = "gdisim-thread-local-buffer"
-    for lineno, line in enumerate(code_lines, start=1):
-        s = line.strip()
-        if s.startswith("#") or not re.search(r"\bthread_local\b", s):
-            continue
-        if _annotated(raw_lines, lineno, "SHARED"):
-            continue
-        findings.append(_finding(rel, lineno, rule, raw_lines))
-    return findings
+def _declares_sync(s: str) -> bool:
+    """Whether code line `s` declares a thread_local or a new
+    synchronization primitive. Lock usage (lock_guard & co.) and references
+    or pointers bound to an existing primitive declare nothing."""
+    if re.search(r"\bthread_local\b", s):
+        return True
+    if _KEYWORD_STARTS.match(s) or not _SYNC_DECL.match(s):
+        return False
+    if re.search(r"lock_guard|unique_lock|scoped_lock|shared_lock", s):
+        return False
+    return not re.search(r"[>)]\s*[*&]|&\s*[A-Za-z_]\w*\s*=", s)
 
 
 def _raw_sync_findings(code_lines, raw_lines, rel) -> list[dict]:
@@ -414,14 +399,8 @@ def _raw_sync_findings(code_lines, raw_lines, rel) -> list[dict]:
     rule = "gdisim-raw-sync"
     for lineno, line in enumerate(code_lines, start=1):
         s = line.strip()
-        if s.startswith("#") or _KEYWORD_STARTS.match(s):
+        if s.startswith("#") or not _declares_sync(s):
             continue
-        if not _SYNC_DECL.match(s):
-            continue
-        if re.search(r"lock_guard|unique_lock|scoped_lock|shared_lock", s):
-            continue
-        if re.search(r"[>)]\s*[*&]|&\s*[A-Za-z_]\w*\s*=", s):
-            continue  # reference/pointer binding, not a new primitive
         if _annotated(raw_lines, lineno, "SHARED"):
             continue
         findings.append(_finding(rel, lineno, rule, raw_lines))
@@ -506,11 +485,7 @@ def scan_file(path: str, rel: str, agent_types: set[str]) -> list[dict]:
     findings = common.nolint_reason_findings(raw_lines, rel)
     findings += _annotation_reason_findings(raw_lines, rel)
     findings += _unguarded_shared_findings(code_lines, raw_lines, rel)
-    findings += _thread_local_findings(code_lines, raw_lines, rel)
-
-    norm = rel.replace(os.sep, "/")
-    if not norm.startswith("src/core/"):
-        findings += _raw_sync_findings(code_lines, raw_lines, rel)
+    findings += _raw_sync_findings(code_lines, raw_lines, rel)
 
     for name, bases, start, end in _class_regions(code):
         if name in agent_types:
