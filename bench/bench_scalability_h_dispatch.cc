@@ -54,7 +54,7 @@ int main() {
   bench::header("H-Dispatch multicore scalability (Agent Set = 64)",
                 "Table 4.2 / Figure 4-6 (simulation time & speedup vs #threads)");
 
-  const Tick ticks = bench::fast_mode() ? 500 : 2000;
+  const Tick ticks = 500;
   TableReport t({"# of Threads", "Wall time (s)", "Speedup (x)", "Linear (x)",
                  "Dispatch overhead (ns/handler)"});
   double base = 0.0;

@@ -55,7 +55,7 @@ int main() {
   bench::header("Classic Scatter-Gather multicore scalability",
                 "Table 4.1 / Figure 4-4 (simulation time & speedup vs #threads)");
 
-  const Tick ticks = bench::fast_mode() ? 500 : 2000;
+  const Tick ticks = 500;
   TableReport t({"# of Threads", "Wall time (s)", "Speedup (x)", "Linear (x)",
                  "Dispatch overhead (ns/handler)"});
   double base = 0.0;

@@ -1,8 +1,7 @@
-// Shared helpers for the per-table/per-figure bench binaries.
+// Shared helpers for the Ch. 4 scalability and warm-start bench binaries.
 #pragma once
 
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -32,13 +31,6 @@ inline void header(const std::string& title, const std::string& paper_ref) {
 
 inline void footnote(const std::string& note) {
   std::cout << "\nNOTE: " << note << "\n\n";
-}
-
-/// Environment knob: GDISIM_BENCH_FAST=1 shrinks simulated horizons so the
-/// whole bench suite finishes quickly in CI; default runs the full windows.
-inline bool fast_mode() {
-  const char* v = std::getenv("GDISIM_BENCH_FAST");
-  return v != nullptr && v[0] == '1';
 }
 
 }  // namespace gdisim::bench

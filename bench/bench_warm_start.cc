@@ -88,8 +88,8 @@ int main() {
   bench::header("Warm-start scenario forking vs cold sweeps",
                 "DESIGN.md §8 — checkpoint/restore as a sweep accelerator");
 
-  const double warm_s = bench::fast_mode() ? 900.0 : 3600.0;
-  const double end_s = bench::fast_mode() ? 1200.0 : 4800.0;
+  const double warm_s = 3600.0;
+  const double end_s = 4800.0;
   const std::size_t n = sizeof(kVariants) / sizeof(kVariants[0]);
 
   // Cold baseline: every variant simulates the full window from t=0.

@@ -6,6 +6,7 @@
 #include <iostream>
 #include <vector>
 
+#include "example_args.h"
 #include "sim/gdisim.h"
 
 using namespace gdisim;
@@ -64,7 +65,8 @@ RampPoint run_point(unsigned clients) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  examples::no_arguments(argc, argv, "bottleneck_detection");
   std::cout << "Ramping CAD clients against a small data center...\n\n";
   TableReport t({"clients", "app", "db", "fs", "idx", "EXPLORE mean (s)"});
   std::vector<RampPoint> points;

@@ -2,10 +2,10 @@
 // application servers and find the smallest deployment that keeps the app
 // tier below a target utilization and response times within an SLA.
 //
-//   ./build/examples/capacity_planning [target_util=0.7]
-#include <cstdlib>
+//   ./build/examples/capacity_planning [target_util=0.7]   (0 < target <= 1)
 #include <iostream>
 
+#include "example_args.h"
 #include "sim/gdisim.h"
 
 using namespace gdisim;
@@ -64,7 +64,8 @@ SweepPoint run_point(unsigned app_servers) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double target = argc > 1 ? std::atof(argv[1]) : 0.70;
+  const double target =
+      examples::optional_number(argc, argv, "capacity_planning", "target_util", 0.70, 1.0);
   std::cout << "Sweeping app-server count for 60 concurrent CAD clients\n"
             << "(SLA target: app tier below " << TableReport::pct(target) << ")\n\n";
 

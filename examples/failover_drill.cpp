@@ -4,10 +4,10 @@
 // NA->AS1 trunk fails, verify that the EU backup links absorb the traffic,
 // and quantify the client-experience impact in the affected regions.
 //
-//   ./build/examples/failover_drill [scale=0.05]
-#include <cstdlib>
+//   ./build/examples/failover_drill [scale=0.05]   (0 < scale <= 1)
 #include <iostream>
 
+#include "example_args.h"
 #include "resilience/failure.h"
 #include "sim/gdisim.h"
 
@@ -74,7 +74,8 @@ DrillResult run(bool with_failure, double scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.05;
+  const double scale =
+      examples::optional_number(argc, argv, "failover_drill", "scale", 0.05, 1.0);
   std::cout << "Failover drill: NA<->AS1 trunk outage 13:30-15:30 GMT\n"
             << "(scale=" << scale << ")\n\n";
 

@@ -4,11 +4,13 @@
 //   ./build/examples/quickstart
 #include <iostream>
 
+#include "example_args.h"
 #include "sim/gdisim.h"
 
 using namespace gdisim;
 
-int main() {
+int main(int argc, char** argv) {
+  examples::no_arguments(argc, argv, "quickstart");
   // 1. Describe the hardware in the thesis notation: T^(servers,cores,GB).
   InfrastructureBuilder builder(/*seed=*/2024);
 

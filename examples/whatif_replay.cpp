@@ -6,6 +6,7 @@
 //   ./build/examples/whatif_replay
 #include <iostream>
 
+#include "example_args.h"
 #include "sim/gdisim.h"
 #include "software/replay.h"
 
@@ -71,7 +72,8 @@ ReplayResult replay_on(const WorkloadTrace& trace, unsigned app_servers, unsigne
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  examples::no_arguments(argc, argv, "whatif_replay");
   std::cout << "Step 1: record 8 minutes of a 70-client CAD workload on the\n"
                "baseline deployment (2 app servers)...\n";
   WorkloadTrace trace;

@@ -21,6 +21,13 @@ struct FcfsCase {
   double dt;
 };
 
+/// Names the case in test listings as its initializer reads (gtest would
+/// otherwise print the struct's bytes, padding included, which differ from
+/// build to build).
+void PrintTo(const FcfsCase& c, std::ostream* os) {
+  *os << "{" << c.servers << ", " << c.rate << ", " << c.dt << "}";
+}
+
 class FcfsSweep : public ::testing::TestWithParam<FcfsCase> {};
 
 TEST_P(FcfsSweep, ConservesWorkAndCompletesEverything) {

@@ -32,6 +32,10 @@
 #            day against the Ch. 6 bands) and validation_replicas (Ch. 5
 #            experiments 1-3 against Table 5.3) must each report
 #            "correct": true with no failed unit
+#   repro    thesis reproduction: bench/gdisim_repro (release) must exit 0
+#            (every row in its band or a marked known deviation, no marked
+#            row back in band), and its checked block must equal the one in
+#            EXPERIMENTS.md
 #   release/audit/asan/ubsan/tsan   CMake presets: configure + build + ctest
 #
 # Sanitizer suites run the full tier-1 ctest set; on small hosts expect the
@@ -42,7 +46,7 @@ cd "$(dirname "$0")/.."
 
 LEGS=("$@")
 if [ ${#LEGS[@]} -eq 0 ]; then
-  LEGS=(lint archive-coverage isolation release audit smoke shape snapshot sanitize-snapshot asan tsan)
+  LEGS=(lint archive-coverage isolation release audit smoke shape repro snapshot sanitize-snapshot asan tsan)
 fi
 
 JOBS="${JOBS:-$(nproc)}"
@@ -196,6 +200,26 @@ EOF
   done
 }
 
+run_repro() {
+  echo "=== [repro] thesis reproduction: checked rows and EXPERIMENTS.md ==="
+  cmake --preset release >/dev/null
+  cmake --build --preset release -j "$JOBS" --target gdisim_repro >/dev/null
+  local out
+  out=$(mktemp)
+  # Clear the trap as it fires: RETURN traps outlive the function otherwise.
+  trap 'rm -f "${out:-}"; trap - RETURN' RETURN
+  build/bench/gdisim_repro >"$out" || {
+    echo "repro: gdisim_repro failed (rows above)" >&2
+    return 1
+  }
+  local block='/^<!-- repro:begin -->$/,/^<!-- repro:end -->$/p'
+  if ! diff <(sed -n "$block" "$out") <(sed -n "$block" EXPERIMENTS.md); then
+    echo "repro: EXPERIMENTS.md's block differs from gdisim_repro's (diff above)" >&2
+    return 1
+  fi
+  echo "repro: every row in band or a known deviation; EXPERIMENTS.md matches"
+}
+
 run_tsan() {
   run_preset tsan
   # Pin the only suites that start threads — those of the Ch. 4 runtime in
@@ -204,7 +228,7 @@ run_tsan() {
   # pass. src/ holds no thread, so scenario runs have nothing to race.
   echo "--- [tsan] Ch. 4 runtime suites (bench/ch4/) ---"
   ctest --preset tsan -j "$JOBS" --output-on-failure \
-      -R '^(AllEngines|[A-Za-z]*Engine|[A-Za-z]*Stress|Dispatcher|Port|[A-Za-z]*Receiver|Interleave|Choice)[./]'
+      -R '^(AllEngines|[A-Za-z]*Engine|[A-Za-z]*Stress|Dispatcher|Port|[A-Za-z]*Receiver)[./]'
 }
 
 run_sanitize_snapshot() {
@@ -229,6 +253,7 @@ for leg in "${LEGS[@]}"; do
     smoke) run_smoke ;;
     snapshot) run_snapshot ;;
     shape) run_shape ;;
+    repro) run_repro ;;
     sanitize-snapshot) run_sanitize_snapshot ;;
     tsan) run_tsan ;;
     *) run_preset "$leg" ;;
