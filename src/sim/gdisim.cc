@@ -67,7 +67,7 @@ void GdiSimulator::checkpoint(const std::string& path) {
 void GdiSimulator::restore(const std::string& path) {
   StateArchive ar = StateArchive::read_file(path);
   try {
-    load_archive(ar, /*rollback_on_error=*/true);
+    load_archive(ar);
   } catch (const std::exception& e) {
     const std::string why = e.what();
     // read_file diagnostics are already `path:byte N: why`; decode errors
@@ -83,16 +83,12 @@ std::vector<std::uint8_t> GdiSimulator::save_state() {
   return ar.payload();
 }
 
-void GdiSimulator::load_state(const std::vector<std::uint8_t>& payload, bool rollback_on_error) {
+void GdiSimulator::load_state(const std::vector<std::uint8_t>& payload) {
   StateArchive ar = StateArchive::reader(payload);
-  load_archive(ar, rollback_on_error);
+  load_archive(ar);
 }
 
-void GdiSimulator::load_archive(StateArchive& ar, bool rollback_on_error) {
-  if (!rollback_on_error) {
-    archive_simulation(ar, scenario_, *loop_, *collector_);
-    return;
-  }
+void GdiSimulator::load_archive(StateArchive& ar) {
   // Transactional load: a payload that fails mid-decode (truncated stream,
   // flipped bytes past the checksum, structural mismatch) must not leave the
   // simulator half-mutated. Back up first, roll back on any throw; the

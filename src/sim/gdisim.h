@@ -57,14 +57,10 @@ class GdiSimulator {
   void restore(const std::string& path);
 
   /// In-memory snapshot/restore (scenario forking without touching disk).
-  /// By default a payload that fails mid-decode is rolled back: the live
-  /// simulator is restored to its pre-call state before the exception
-  /// propagates. Pass `rollback_on_error = false` to skip the backup
-  /// snapshot in trusted hot paths (warm-start fork loops replaying a
-  /// payload this process just produced).
+  /// A payload that fails mid-decode is rolled back: the live simulator is
+  /// restored to its pre-call state before the exception propagates.
   std::vector<std::uint8_t> save_state();
-  void load_state(const std::vector<std::uint8_t>& payload,
-                  bool rollback_on_error = true);
+  void load_state(const std::vector<std::uint8_t>& payload);
 
   double now_seconds() const { return loop_->now_seconds(); }
   Scenario& scenario() { return scenario_; }
@@ -72,7 +68,7 @@ class GdiSimulator {
   SimulationLoop& loop() { return *loop_; }
 
  private:
-  void load_archive(StateArchive& ar, bool rollback_on_error);
+  void load_archive(StateArchive& ar);
 
   Scenario scenario_;
   SimulatorConfig config_;

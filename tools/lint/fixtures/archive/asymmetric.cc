@@ -1,5 +1,5 @@
 // Archive-coverage fixture: save/load paths that disagree. Exercised by
-// tests/lint/archive_coverage_self_test.py -- keep line numbers stable or
+// tests/lint/lint_self_test.py -- keep line numbers stable or
 // update EXPECTED there.
 #include <cstdint>
 

@@ -1,6 +1,6 @@
 // Archive-coverage fixture: a snapshotable type with one field that is
 // neither archived nor annotated. Exercised by
-// tests/lint/archive_coverage_self_test.py -- keep line numbers stable or
+// tests/lint/lint_self_test.py -- keep line numbers stable or
 // update EXPECTED there.
 #include <cstdint>
 

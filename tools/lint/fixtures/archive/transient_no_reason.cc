@@ -1,5 +1,5 @@
 // Archive-coverage fixture: ARCHIVE-TRANSIENT annotations with and without a
-// reason. Exercised by tests/lint/archive_coverage_self_test.py -- keep line
+// reason. Exercised by tests/lint/lint_self_test.py -- keep line
 // numbers stable or update EXPECTED there.
 #include <cstdint>
 

@@ -35,7 +35,7 @@ struct TransientView {
 // methods and pointer locals inside method bodies are not fields.
 struct SnapshotClean {
   std::uint64_t serial = 0;
-  void archive_state(StateArchive& ar);
+  void archive_state(StateArchive& ar) { ar.u64(serial); }
   Op* find(std::uint64_t key);
   int drain() {
     Op* scratch = nullptr;

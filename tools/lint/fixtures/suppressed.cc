@@ -23,6 +23,6 @@ void suppressed_cases() {
 class StateArchive;
 
 struct SnapshotState {
-  Job* owner;  // travels as a stable id  NOLINT(gdisim-snapshot-ptr)
+  Job* owner;  // travels as a stable id  NOLINT(gdisim-snapshot-ptr, gdisim-archive-missing-field)
   void archive_state(StateArchive& ar);
 };

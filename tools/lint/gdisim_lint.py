@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""gdisim determinism lint.
+"""gdisim lint: one static pass over the C++ tree.
 
-Scans C++ sources for constructs that break run-to-run or thread-count
-determinism in the simulator:
+Each file is lexed once into the source model (``gdisim_lint_model.py``);
+every rule family reads that model. The snapshot rules live in
+``gdisim_lint_snapshot.py``, the isolation rules in
+``gdisim_lint_isolation.py``. This file holds the determinism rules — the
+constructs that break run-to-run determinism — and the NOLINT audit:
 
   gdisim-ptr-key-iter     range-for / iterator loop over a pointer-keyed
                           unordered container (iteration order depends on
@@ -17,11 +20,6 @@ determinism in the simulator:
                           steady_clock, high_resolution_clock, time(),
                           gettimeofday, clock_gettime, localtime, gmtime)
   gdisim-getenv           getenv in sim code (behaviour varies by environment)
-  gdisim-snapshot-ptr     raw-pointer field in a snapshotable type (one whose
-                          body declares an archive method, that is lexically
-                          nested in such a type, or that an archive_* free
-                          function takes by reference); addresses don't
-                          survive a snapshot round trip
   gdisim-nolint-reason    a NOLINT that covers gdisim rules but carries no
                           reason text; suppressions must say why they are
                           sound so they can be audited
@@ -34,14 +32,12 @@ marker whose comment says nothing beyond the marker itself is flagged by
 gdisim-nolint-reason, and that finding is deliberately not suppressible —
 the only fix is to write the reason.
 
-The scanner prefers libclang (python bindings) when importable, which lets it
-resolve typedefs and distinguish declarations from comments structurally.
-The container image this repo targets does not ship libclang, so the default
-path is a comment/string-stripping lexer plus regex rules; both paths emit
-the same finding schema.
-
 Usage:
   gdisim_lint.py [paths...] [--json FILE] [--list-rules] [--include-suppressed]
+                 [--root DIR]
+
+The JSON report has the top-level keys ``version/scanned_files/counts/
+findings``; each finding has ``file/line/rule/message/snippet/suppressed``.
 
 Exit status: 0 when no active (unsuppressed) findings, 1 otherwise,
 2 on usage error.
@@ -50,337 +46,160 @@ Exit status: 0 when no active (unsuppressed) findings, 1 otherwise,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import gdisim_lint_common as common  # noqa: E402
+import gdisim_lint_isolation as isolation  # noqa: E402
+import gdisim_lint_snapshot as snapshot  # noqa: E402
+from gdisim_lint_model import NOLINT, Model, SourceFile  # noqa: E402
 
-# Shared machinery (tools/lint/gdisim_lint_common.py), re-exported under the
-# historical names so the sibling analyzers and any external callers keep
-# working; see that module for the lexer/suppression/report contracts.
-CXX_EXTS = common.CXX_EXTS
-collect_sources = common.collect_sources
-_NOLINT = common.NOLINT
-_suppresses = common.suppresses
-_strip_comments = common.strip_comments
-_line_suppressed = common.line_suppressed
-_nolint_reason_findings = common.nolint_reason_findings
-
-# --------------------------------------------------------------------------
-# Rules
-# --------------------------------------------------------------------------
+CXX_EXTS = (".h", ".hpp", ".hh", ".cc", ".cpp", ".cxx")
 
 # Matches a pointer type as the first template argument of an associative
 # container, e.g. `std::unordered_map<OperationInstance*, ...>` or
 # `std::unordered_set<const Foo *>`. Allows nested namespace qualifiers.
 _PTR_KEY = r"<\s*(?:const\s+)?[A-Za-z_][A-Za-z0-9_:<>]*\s*\*\s*[,>]"
+_PTR_KEY_DECL = re.compile(
+    r"std\s*::\s*unordered_(?:map|set|multimap|multiset)\s*" + _PTR_KEY)
+
+# rule -> (pattern, message, files exempt from the rule)
+DETERMINISM = {
+    # Only fires when the loop target was declared pointer-keyed in the
+    # same file (see _ptr_key_names); alone, the pattern would flag every
+    # range-for.
+    "gdisim-ptr-key-iter": (
+        re.compile(r"for\s*\(\s*(?:const\s+)?auto\s*&{0,2}\s*[A-Za-z_\[\]"
+                   r"][^)]*:\s*[A-Za-z_][A-Za-z0-9_.\->]*_?\s*\)"),
+        "range-for over a container; if it is pointer-keyed and unordered, "
+        "iteration order is allocator-dependent", ()),
+    "gdisim-ptr-key-decl": (
+        _PTR_KEY_DECL,
+        "pointer-keyed unordered container: iteration order depends on "
+        "allocation addresses; key by a stable ID (e.g. instance_serial) or "
+        "use a JobPool", ()),
+    "gdisim-addr-ordered": (
+        re.compile(r"std\s*::\s*(?:map|set|multimap|multiset)\s*" + _PTR_KEY
+                   + r"|std\s*::\s*less\s*<\s*[A-Za-z_][A-Za-z0-9_:<>]*\s*\*\s*>"),
+        "address-ordered comparator: ordering follows allocation addresses, "
+        "which vary across runs and thread counts", ()),
+    "gdisim-raw-rand": (
+        re.compile(r"std\s*::\s*rand\b|(?<![A-Za-z0-9_])s?rand\s*\(|"
+                   r"random_device\b|mt19937(?:_64)?\b"),
+        "raw RNG outside the seeding shim: draw from core/rng.h "
+        "(xoshiro256** seeded from the run seed) so streams are reproducible",
+        ("src/core/rng.h", "src/core/rng.cc")),
+    "gdisim-wall-clock": (
+        re.compile(r"system_clock\b|steady_clock\b|high_resolution_clock\b|"
+                   r"gettimeofday\b|clock_gettime\b|localtime\b|gmtime\b|"
+                   r"(?<![A-Za-z0-9_.])time\s*\(\s*(?:NULL|nullptr|0|\))"),
+        "wall-clock read in sim code: simulated time must come from the tick "
+        "counter, never the host clock", ()),
+    "gdisim-getenv": (
+        re.compile(r"(?<![A-Za-z0-9_])(?:std\s*::\s*)?getenv\s*\("),
+        "getenv in sim code: behaviour must not depend on the host "
+        "environment; thread configuration through Scenario/GlobalOptions", ()),
+}
+
+NOLINT_REASON = "gdisim-nolint-reason"
+NOLINT_REASON_MESSAGE = (
+    "NOLINT covering gdisim rules without a reason: say why "
+    "the suppression is sound (// NOLINT(gdisim-<rule>) <reason>); this "
+    "finding cannot itself be suppressed")
 
 RULES = {
-    "gdisim-ptr-key-iter": {
-        "pattern": re.compile(
-            r"for\s*\(\s*(?:const\s+)?auto\s*&{0,2}\s*[A-Za-z_\[\]"
-            r"][^)]*:\s*[A-Za-z_][A-Za-z0-9_.\->]*_?\s*\)"
-        ),
-        "message": "range-for over a container; if it is pointer-keyed and "
-        "unordered, iteration order is allocator-dependent",
-        # Only fires when the loop target was declared pointer-keyed in the
-        # same file (see _ptr_key_names below); standalone regex would drown
-        # every range-for in noise.
-        "needs_ptr_key_target": True,
-    },
-    "gdisim-ptr-key-decl": {
-        "pattern": re.compile(r"std\s*::\s*unordered_(?:map|set|multimap|multiset)\s*" + _PTR_KEY),
-        "message": "pointer-keyed unordered container: iteration order depends "
-        "on allocation addresses; key by a stable ID (e.g. instance_serial) "
-        "or use a JobPool",
-    },
-    "gdisim-addr-ordered": {
-        "pattern": re.compile(
-            r"std\s*::\s*(?:map|set|multimap|multiset)\s*" + _PTR_KEY
-            + r"|std\s*::\s*less\s*<\s*[A-Za-z_][A-Za-z0-9_:<>]*\s*\*\s*>"
-        ),
-        "message": "address-ordered comparator: ordering follows allocation "
-        "addresses, which vary across runs and thread counts",
-    },
-    "gdisim-raw-rand": {
-        "pattern": re.compile(
-            r"std\s*::\s*rand\b|(?<![A-Za-z0-9_])s?rand\s*\(|"
-            r"random_device\b|mt19937(?:_64)?\b"
-        ),
-        "message": "raw RNG outside the seeding shim: draw from core/rng.h "
-        "(xoshiro256** seeded from the run seed) so streams are reproducible",
-        "exempt_files": ("src/core/rng.h", "src/core/rng.cc"),
-    },
-    "gdisim-wall-clock": {
-        "pattern": re.compile(
-            r"system_clock\b|steady_clock\b|high_resolution_clock\b|"
-            r"gettimeofday\b|clock_gettime\b|localtime\b|gmtime\b|"
-            r"(?<![A-Za-z0-9_.])time\s*\(\s*(?:NULL|nullptr|0|\))"
-        ),
-        "message": "wall-clock read in sim code: simulated time must come from "
-        "the tick counter, never the host clock",
-    },
-    "gdisim-getenv": {
-        "pattern": re.compile(r"(?<![A-Za-z0-9_])(?:std\s*::\s*)?getenv\s*\("),
-        "message": "getenv in sim code: behaviour must not depend on the host "
-        "environment; thread configuration through Scenario/GlobalOptions",
-    },
-    "gdisim-snapshot-ptr": {
-        # File-level rule: needs struct/class region tracking, not a line
-        # regex. Findings come from _snapshot_ptr_findings below.
-        "pattern": None,
-        "file_level": True,
-        "message": "raw-pointer field in a snapshotable type: the archive "
-        "path must re-express it as a stable id (AgentId, instance serial, "
-        "pool/queue index); once it does, acknowledge with "
-        "NOLINT(gdisim-snapshot-ptr)",
-    },
-    "gdisim-nolint-reason": {
-        # File-level rule: inspects comment text, which the line regexes
-        # never see. Findings come from common.nolint_reason_findings.
-        "pattern": None,
-        "file_level": True,
-        "message": common.NOLINT_REASON_MESSAGE,
-    },
+    **{rule: message for rule, (_p, message, _x) in DETERMINISM.items()},
+    **snapshot.RULES,
+    **isolation.RULES,
+    NOLINT_REASON: NOLINT_REASON_MESSAGE,
 }
 
 
 def _ptr_key_names(code_lines: list[str]) -> set[str]:
     """Names of variables declared with a pointer-keyed unordered container
     anywhere in the file — used to make gdisim-ptr-key-iter precise."""
-    decl = re.compile(
-        r"std\s*::\s*unordered_(?:map|set|multimap|multiset)\s*" + _PTR_KEY
-    )
     name = re.compile(r">\s*([A-Za-z_][A-Za-z0-9_]*)\s*[;{=]")
     names: set[str] = set()
     for line in code_lines:
-        if decl.search(line):
+        if _PTR_KEY_DECL.search(line):
             m = name.search(line)
             if m:
                 names.add(m.group(1))
     return names
 
 
-# --------------------------------------------------------------------------
-# Snapshot-pointer rule (file level)
-# --------------------------------------------------------------------------
-
-_TYPE_HEADER = re.compile(r"\b(struct|class)\s+([A-Za-z_]\w*)")
-_ARCHIVE_CALLISH = re.compile(r"\barchive\w*\s*\(")
-# A raw-pointer member declaration: `Type* name;`, `const T* n = nullptr;`.
-# Parens are excluded everywhere so function/method declarations returning
-# pointers (and function-pointer members) never match.
-_PTR_FIELD = re.compile(
-    r"^\s*(?:const\s+)?[A-Za-z_][\w:]*(?:<[^;()]*>)?\s*\*\s*(?:const\s+)?"
-    r"[A-Za-z_]\w*\s*(?:=\s*[^;()]*|\{[^;()]*\})?\s*;"
-)
-
-
-def _scan_type_regions(code_lines: list[str]) -> tuple[list[dict], list[int]]:
-    """Brace-walk the file into struct/class body regions.
-
-    Returns (regions, line_depth): each region records its name, body line
-    span, body brace depth, and enclosing region; line_depth[i] is the open
-    brace count at the start of line i+1. Pointer fields are recognised as
-    lines matching _PTR_FIELD whose start-of-line depth equals the region's
-    body depth (deeper lines sit in nested scopes/method bodies)."""
-    regions: list[dict] = []
-    open_stack: list[int | None] = []  # region index per open brace, or None
-    line_depth: list[int] = []
-    pending = ""
-    for line in code_lines:
-        line_depth.append(len(open_stack))
-        for ch in line:
-            if ch == "{":
-                header = None
-                # `template <class T>` introduces type keywords that are not
-                # type definitions; drop template intros before matching.
-                intro = re.sub(r"\btemplate\s*<[^<>]*>", " ", pending)
-                if not re.search(r"\benum\b", intro):
-                    for m in _TYPE_HEADER.finditer(intro):
-                        header = m  # last struct/class before the brace
-                if header:
-                    parent = next(
-                        (i for i in reversed(open_stack) if i is not None), None)
-                    regions.append({
-                        "name": header.group(2),
-                        "start": len(line_depth),
-                        "end": None,
-                        "depth": len(open_stack) + 1,
-                        "parent": parent,
-                        "snap": None,
-                    })
-                    open_stack.append(len(regions) - 1)
-                else:
-                    open_stack.append(None)
-                pending = ""
-            elif ch == "}":
-                if open_stack:
-                    idx = open_stack.pop()
-                    if idx is not None:
-                        regions[idx]["end"] = len(line_depth)
-                pending = ""
-            elif ch == ";":
-                pending = ""
-            else:
-                pending += ch
-        pending += " "
-    for r in regions:
-        if r["end"] is None:
-            r["end"] = len(code_lines)
-    return regions, line_depth
-
-
-def _snapshot_ptr_findings(code_lines: list[str], raw_lines: list[str],
-                           repo_rel: str) -> list[dict]:
-    """gdisim-snapshot-ptr: raw-pointer fields in snapshotable types.
-
-    A type is snapshotable when its body declares an archive method, when it
-    is lexically nested inside a snapshotable type (nested job/message
-    structs are archived by the enclosing type's method), or when the file
-    declares an archive_* free function taking it by reference/pointer
-    (e.g. archive_stage_job(..., StageJob&))."""
-    regions, line_depth = _scan_type_regions(code_lines)
-    joined = " ".join(code_lines)
-
-    def snapshotable(idx: int) -> bool:
-        r = regions[idx]
-        if r["snap"] is None:
-            body = " ".join(code_lines[r["start"] - 1:r["end"]])
-            r["snap"] = bool(
-                _ARCHIVE_CALLISH.search(body)
-                or re.search(
-                    r"\barchive\w*\s*\([^;{)]*\b" + re.escape(r["name"]) + r"\s*[&*]",
-                    joined)
-                or (r["parent"] is not None and snapshotable(r["parent"]))
-            )
-        return r["snap"]
-
-    spec = RULES["gdisim-snapshot-ptr"]
+def determinism_findings(src: SourceFile) -> list[dict]:
+    ptr_names = _ptr_key_names(src.code_lines)
     findings = []
-    for idx, r in enumerate(regions):
-        if not snapshotable(idx):
-            continue
-        for lineno in range(r["start"], min(r["end"], len(code_lines)) + 1):
-            if line_depth[lineno - 1] != r["depth"]:
+    for lineno, code in enumerate(src.code_lines, start=1):
+        for rule, (pattern, message, exempt) in DETERMINISM.items():
+            if any(src.rel.endswith(e) for e in exempt):
                 continue
-            if not _PTR_FIELD.match(code_lines[lineno - 1]):
-                continue
-            findings.append({
-                "file": repo_rel,
-                "line": lineno,
-                "rule": "gdisim-snapshot-ptr",
-                "message": spec["message"],
-                "snippet": raw_lines[lineno - 1].strip()[:160],
-                "suppressed": _line_suppressed(raw_lines, lineno,
-                                               "gdisim-snapshot-ptr"),
-            })
-    return findings
-
-
-# --------------------------------------------------------------------------
-# Scanners
-# --------------------------------------------------------------------------
-
-
-def scan_file_regex(path: str, repo_rel: str) -> list[dict]:
-    with open(path, encoding="utf-8", errors="replace") as f:
-        text = f.read()
-    code_lines, raw_lines = _strip_comments(text)
-    ptr_names = _ptr_key_names(code_lines)
-    findings = _snapshot_ptr_findings(code_lines, raw_lines, repo_rel)
-    findings.extend(_nolint_reason_findings(raw_lines, repo_rel))
-    for lineno, (code, raw) in enumerate(zip(code_lines, raw_lines), start=1):
-        for rule, spec in RULES.items():
-            if spec.get("file_level"):
-                continue
-            exempt = spec.get("exempt_files", ())
-            if any(repo_rel.endswith(e) for e in exempt):
-                continue
-            m = spec["pattern"].search(code)
+            m = pattern.search(code)
             if not m:
                 continue
-            if spec.get("needs_ptr_key_target"):
+            if rule == "gdisim-ptr-key-iter":
                 target = re.search(r":\s*([A-Za-z_][A-Za-z0-9_]*)", m.group(0))
                 if not target or target.group(1) not in ptr_names:
                     continue
-            suppressed = _line_suppressed(raw_lines, lineno, rule)
-            findings.append(
-                {
-                    "file": repo_rel,
-                    "line": lineno,
-                    "rule": rule,
-                    "message": spec["message"],
-                    "snippet": raw.strip()[:160],
-                    "suppressed": suppressed,
-                }
-            )
+            findings.append(src.finding(lineno, rule, message))
     return findings
 
 
-def scan_file_libclang(path: str, repo_rel: str, index) -> list[dict]:
-    """AST-assisted pass: walks range-for statements and checks whether the
-    range expression's type is a pointer-keyed unordered container, then
-    falls back to the regex rules for the token-level checks. Requires the
-    libclang python bindings; the caller handles their absence."""
-    from clang import cindex  # noqa: F401  (import checked by caller)
+def nolint_reason_findings(src: SourceFile) -> list[dict]:
+    """Flag NOLINT markers that suppress gdisim rules without saying why.
 
-    findings = scan_file_regex(path, repo_rel)
-    tu = index.parse(path, args=["-std=c++20", "-Isrc"])
-    with open(path, encoding="utf-8", errors="replace") as f:
-        raw_lines = f.read().splitlines()
-
-    def container_is_ptr_keyed(type_spelling: str) -> bool:
-        return bool(
-            re.search(r"unordered_(?:map|set|multimap|multiset)\s*" + _PTR_KEY,
-                      type_spelling)
-        )
-
-    from clang.cindex import CursorKind
-
-    def walk(cursor):
-        if cursor.kind == CursorKind.CXX_FOR_RANGE_STMT:
-            children = list(cursor.get_children())
-            if children:
-                range_expr = children[-2] if len(children) >= 2 else children[0]
-                spelling = range_expr.type.get_canonical().spelling
-                if container_is_ptr_keyed(spelling):
-                    line = cursor.location.line
-                    if not any(
-                        f["rule"] == "gdisim-ptr-key-iter" and f["line"] == line
-                        for f in findings
-                    ):
-                        findings.append(
-                            {
-                                "file": repo_rel,
-                                "line": line,
-                                "rule": "gdisim-ptr-key-iter",
-                                "message": RULES["gdisim-ptr-key-iter"]["message"],
-                                "snippet": raw_lines[line - 1].strip()[:160]
-                                if 0 < line <= len(raw_lines)
-                                else "",
-                                "suppressed": _line_suppressed(
-                                    raw_lines, line, "gdisim-ptr-key-iter"
-                                ),
-                            }
-                        )
-        for child in cursor.get_children():
-            if child.location.file and child.location.file.name == path:
-                walk(child)
-
-    walk(tu.cursor)
+    A marker is in scope when its rule list is empty (bare NOLINT covers
+    everything, gdisim rules included) or names any gdisim rule. The reason
+    is whatever comment text survives once the markers themselves are
+    removed; punctuation alone does not count. Findings are always active:
+    letting a NOLINT suppress the rule that audits NOLINTs would defeat it.
+    """
+    findings = []
+    for lineno, raw in enumerate(src.raw_lines, start=1):
+        markers = [
+            m for m in NOLINT.finditer(raw)
+            if m.group(2) is None
+            or any(r.strip().startswith("gdisim") for r in m.group(2).split(","))
+        ]
+        if not markers:
+            continue
+        ci = raw.find("//")
+        comment = raw[ci + 2:] if ci >= 0 else raw[markers[0].start():]
+        text = NOLINT.sub("", comment).replace("*/", " ")
+        if not re.search(r"\w", text):
+            findings.append(src.finding(lineno, NOLINT_REASON,
+                                        NOLINT_REASON_MESSAGE, suppressible=False))
     return findings
 
 
-# --------------------------------------------------------------------------
-# Driver
-# --------------------------------------------------------------------------
+def collect_sources(paths: list[str], root: str) -> list[str]:
+    files = []
+    for p in paths:
+        ap = p if os.path.isabs(p) else os.path.join(root, p)
+        if os.path.isfile(ap):
+            files.append(ap)
+        else:
+            for dirpath, _dirnames, filenames in os.walk(ap):
+                files.extend(os.path.join(dirpath, fn) for fn in filenames
+                             if fn.endswith(CXX_EXTS))
+    return sorted(set(files))
+
+
+def lint(files: list[str], root: str) -> list[dict]:
+    """Every finding of every rule over `files`, sorted by file, line and rule."""
+    model = Model([SourceFile(path, os.path.relpath(path, root)) for path in files])
+    findings = snapshot.check(model) + isolation.check(model)
+    for src in model.files:
+        findings += determinism_findings(src) + nolint_reason_findings(src)
+    findings.sort(key=lambda f: (f["file"], f["line"], f["rule"]))
+    return findings
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description="gdisim determinism lint")
+    parser = argparse.ArgumentParser(description="gdisim lint")
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories to scan (default: src/)")
     parser.add_argument("--json", metavar="FILE",
@@ -393,11 +212,12 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule, spec in sorted(RULES.items()):
-            print(f"{rule}: {spec['message']}")
+        for rule, message in sorted(RULES.items()):
+            print(f"{rule}: {message}")
         return 0
 
-    root = args.root or common.default_root(__file__)
+    root = args.root or os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))
     paths = args.paths or ["src"]
     files = collect_sources(paths, root)
     if not files:
@@ -405,33 +225,29 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 2
 
-    index = None
-    backend = "regex"
-    try:
-        from clang import cindex
-
-        index = cindex.Index.create()
-        backend = "libclang"
-    except Exception:
-        pass
-
-    findings: list[dict] = []
-    for path in files:
-        rel = os.path.relpath(path, root)
-        if backend == "libclang":
-            try:
-                findings.extend(scan_file_libclang(path, rel, index))
-            except Exception:
-                findings.extend(scan_file_regex(path, rel))
+    findings = lint(files, root)
+    active = [f for f in findings if not f["suppressed"]]
+    if args.json:
+        report = {
+            "version": 2,
+            "scanned_files": len(files),
+            "counts": {"active": len(active),
+                       "suppressed": len(findings) - len(active)},
+            "findings": findings,
+        }
+        payload = json.dumps(report, indent=2)
+        if args.json == "-":
+            print(payload)
         else:
-            findings.extend(scan_file_regex(path, rel))
+            with open(args.json, "w", encoding="utf-8") as f:
+                f.write(payload + "\n")
 
-    active = common.finish_report(findings, files, backend, args.json,
-                                  args.include_suppressed)
-    summary = (f"gdisim_lint [{backend}]: {len(files)} files, "
-               f"{len(active)} active finding(s), "
-               f"{len(findings) - len(active)} suppressed")
-    print(summary, file=sys.stderr)
+    for f in findings if args.include_suppressed else active:
+        tag = " (suppressed)" if f["suppressed"] else ""
+        print(f"{f['file']}:{f['line']}: [{f['rule']}]{tag} {f['message']}")
+        print(f"    {f['snippet']}")
+    print(f"gdisim_lint: {len(files)} files, {len(active)} active finding(s), "
+          f"{len(findings) - len(active)} suppressed", file=sys.stderr)
     return 1 if active else 0
 
 
