@@ -13,9 +13,9 @@ DcId InfrastructureBuilder::add_datacenter(const DataCenterBlueprint& bp) {
                                          rng_.split("dc/" + bp.name));
 
   for (const auto& [kind, notation] : bp.tiers) {
-    bool on_san = false;
-    if (kind == TierKind::Fs) on_san = bp.fs_on_san && bp.san.has_value();
-    if (kind == TierKind::Db) on_san = bp.db_on_san && bp.san.has_value();
+    // File-server and database tiers use the data center's SAN when it has
+    // one; every other server has a local RAID.
+    const bool on_san = (kind == TierKind::Fs || kind == TierKind::Db) && bp.san.has_value();
     const ServerSpec server = make_server_spec(notation, /*has_local_raid=*/!on_san);
     dc->add_tier(kind, notation.servers, server, make_link_spec(bp.tier_link));
   }

@@ -21,9 +21,6 @@ struct DataCenterBlueprint {
   /// Local link from each tier to the data center switch.
   LinkNotation tier_link{1.0, 0.5, 1.0};
   double switch_gbps = 40.0;
-  /// Tiers whose servers use the shared SAN instead of a local RAID.
-  bool fs_on_san = true;
-  bool db_on_san = true;
 };
 
 class InfrastructureBuilder {

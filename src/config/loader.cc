@@ -187,7 +187,6 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
   std::vector<PopulationDecl> populations;
   std::vector<DaemonDecl> synchreps, indexbuilds;
   std::vector<GrowthDecl> growths;
-  std::map<std::string, std::pair<double, double>> dc_hours;  // optional per-DC window
   std::vector<std::string> dc_names;  // declared so far, in order
   std::map<std::pair<std::string, std::string>, int> link_lines;  // unordered pair -> line
   // (line, token index) of datacenter names resolved once parsing is done.
@@ -361,7 +360,6 @@ Scenario load_scenario(std::istream& is, const std::string& source, double scale
   s.master_dc = master.empty() ? 0 : s.topology->find_dc(master);
   s.ctx = std::make_unique<OperationContext>(*s.topology, s.master_dc);
   s.catalog = std::make_unique<OperationCatalog>(OperationCatalog::standard());
-  (void)dc_hours;
 
   const TickClock clock(tick);
   for (PopulationDecl& decl : populations) {

@@ -351,24 +351,22 @@ Scenario make_consolidated_scenario(const GlobalOptions& options) {
   const TickClock clock(kGlobalTickSeconds);
   add_workloads(s, options, clock);
 
-  if (options.background_enabled) {
-    SynchRepConfig sr;
-    sr.name = "bg/synchrep@NA";
-    sr.home_dc = s.master_dc;
-    sr.interval_s = options.synchrep_interval_s;
-    sr.participant_dcs = all_dcs();
-    s.synchreps.push_back(std::make_unique<SynchRepDaemon>(
-        sr, s.growth, AccessPatternMatrix(), *s.ctx, clock));
+  SynchRepConfig sr;
+  sr.name = "bg/synchrep@NA";
+  sr.home_dc = s.master_dc;
+  sr.interval_s = options.synchrep_interval_s;
+  sr.participant_dcs = all_dcs();
+  s.synchreps.push_back(std::make_unique<SynchRepDaemon>(
+      sr, s.growth, AccessPatternMatrix(), *s.ctx, clock));
 
-    IndexBuildConfig ib;
-    ib.name = "bg/indexbuild@NA";
-    ib.home_dc = s.master_dc;
-    ib.delay_after_completion_s = options.indexbuild_delay_s;
-    ib.producer_dcs = all_dcs();
-    ib.index_parallelism = options.indexbuild_parallelism;
-    s.indexbuilds.push_back(std::make_unique<IndexBuildDaemon>(
-        ib, s.growth, AccessPatternMatrix(), *s.ctx, clock));
-  }
+  IndexBuildConfig ib;
+  ib.name = "bg/indexbuild@NA";
+  ib.home_dc = s.master_dc;
+  ib.delay_after_completion_s = options.indexbuild_delay_s;
+  ib.producer_dcs = all_dcs();
+  ib.index_parallelism = options.indexbuild_parallelism;
+  s.indexbuilds.push_back(std::make_unique<IndexBuildDaemon>(
+      ib, s.growth, AccessPatternMatrix(), *s.ctx, clock));
   return s;
 }
 
@@ -429,26 +427,24 @@ Scenario make_multimaster_scenario(const GlobalOptions& options) {
         [apm](DcId origin, double u) { return apm.sample_owner(origin, u); });
   }
 
-  if (options.background_enabled) {
-    // One SR + IB daemon per master data center (Figure 7-3).
-    for (DcId d = 0; d < 6; ++d) {
-      SynchRepConfig sr;
-      sr.name = std::string("bg/synchrep@") + kGlobalDcNames[d];
-      sr.home_dc = d;
-      sr.interval_s = options.synchrep_interval_s;
-      sr.participant_dcs = all_dcs();
-      s.synchreps.push_back(
-          std::make_unique<SynchRepDaemon>(sr, s.growth, s.apm, *s.ctx, clock));
+  // One SR + IB daemon per master data center (Figure 7-3).
+  for (DcId d = 0; d < 6; ++d) {
+    SynchRepConfig sr;
+    sr.name = std::string("bg/synchrep@") + kGlobalDcNames[d];
+    sr.home_dc = d;
+    sr.interval_s = options.synchrep_interval_s;
+    sr.participant_dcs = all_dcs();
+    s.synchreps.push_back(
+        std::make_unique<SynchRepDaemon>(sr, s.growth, s.apm, *s.ctx, clock));
 
-      IndexBuildConfig ib;
-      ib.name = std::string("bg/indexbuild@") + kGlobalDcNames[d];
-      ib.home_dc = d;
-      ib.delay_after_completion_s = options.indexbuild_delay_s;
-      ib.producer_dcs = all_dcs();
-      ib.index_parallelism = options.indexbuild_parallelism;
-      s.indexbuilds.push_back(
-          std::make_unique<IndexBuildDaemon>(ib, s.growth, s.apm, *s.ctx, clock));
-    }
+    IndexBuildConfig ib;
+    ib.name = std::string("bg/indexbuild@") + kGlobalDcNames[d];
+    ib.home_dc = d;
+    ib.delay_after_completion_s = options.indexbuild_delay_s;
+    ib.producer_dcs = all_dcs();
+    ib.index_parallelism = options.indexbuild_parallelism;
+    s.indexbuilds.push_back(
+        std::make_unique<IndexBuildDaemon>(ib, s.growth, s.apm, *s.ctx, clock));
   }
   return s;
 }

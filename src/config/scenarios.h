@@ -99,7 +99,6 @@ struct GlobalOptions {
   double indexbuild_delay_s = 5.0 * 60.0;
   /// §9.1.1 what-if: parallelizable index build (thesis default: 1 core).
   unsigned indexbuild_parallelism = 1;
-  bool background_enabled = true;
   std::uint64_t seed = 42;
 };
 

@@ -10,10 +10,10 @@
 //
 // Quiescence (active-set scheduling, DESIGN.md "Scheduler"): after its
 // phases an agent reports the next tick at which it needs the time-increment
-// signal. Agents that cannot predict their next activity return kEveryTick
-// (the dense-sweep default); truly idle agents return kNeverTick and are
-// re-armed by the loop when a delivery lands in their inbox, which forwards
-// a wake request through the bound AgentWakeScheduler.
+// signal. The default answer, the next tick, keeps an agent due every tick
+// (dense behaviour); truly idle agents return kNeverTick and are re-admitted
+// by the loop when a delivery lands in their inbox, which records a wake
+// request in the loop's DeliveryWakes.
 #pragma once
 
 #include <algorithm>
@@ -27,12 +27,19 @@
 
 namespace gdisim {
 
-/// Wake-request sink bound to agents by the simulation loop when active-set
-/// scheduling is enabled.
-class AgentWakeScheduler {
- public:
-  virtual ~AgentWakeScheduler() = default;
-  virtual void wake(AgentId id) = 0;
+/// Delivery-wake requests of the active-set loop, which owns them: one flag
+/// per agent, set while a wake would be redundant (the agent is woken,
+/// admitted or scheduled for the next iteration), and the ids woken since
+/// the loop last admitted them.
+struct DeliveryWakes {
+  std::vector<char> flag;
+  std::vector<AgentId> woken;
+
+  void wake(AgentId id) {
+    if (flag[id] != 0) return;
+    flag[id] = 1;
+    woken.push_back(id);
+  }
 };
 
 class Agent {
@@ -52,46 +59,31 @@ class Agent {
   /// Interaction step: absorb deliveries that became visible at <= now+1.
   virtual void on_interactions(Tick /*now*/) {}
 
-  /// Queried by the loop after the interaction phase: the next tick at which
-  /// this agent needs its phases to run. `next_now` is the upcoming tick
-  /// (now + 1). Returning kEveryTick keeps the agent permanently in the
-  /// active set (dense behaviour — the safe default); kNeverTick parks it
-  /// until a delivery wakes it; any other value schedules a calendar wake
-  /// (values <= next_now mean "next iteration").
-  virtual Tick next_wake_tick(Tick next_now) const {
-    (void)next_now;
-    return kEveryTick;
-  }
+  /// Asked by the loop once per active iteration, after the interaction
+  /// phase and the collection: the next tick at which this agent needs its
+  /// phases to run. `next_now` is the upcoming tick (now + 1). Values <=
+  /// next_now mean "next iteration" (the default: due every tick, exactly
+  /// the dense sweep); kNeverTick parks the agent until a delivery wakes it;
+  /// any later tick schedules a calendar wake.
+  virtual Tick next_wake_tick(Tick next_now) const { return next_now; }
 
   /// Bound by the loop when active-set scheduling is on; unbound otherwise,
   /// which makes request_wake() a no-op under the dense sweep.
-  void bind_wake_scheduler(AgentWakeScheduler* scheduler) { wake_scheduler_ = scheduler; }
-
-  /// Optional pointer to this agent's "wake already pending/scheduled" flag,
-  /// bound by the loop at registration. Lets the hot
-  /// request_wake path (one call per delivery) skip the virtual dispatch
-  /// when a wake would be redundant anyway.
-  void set_wake_hint(const char* hint) { wake_hint_ = hint; }
+  void bind_wakes(DeliveryWakes* wakes) { wakes_ = wakes; }
 
   /// Ensures this agent participates in the next phase.
   void request_wake() {
-    if (wake_hint_ != nullptr && *wake_hint_ != 0) return;
-    if (wake_scheduler_ != nullptr && id_ != kInvalidAgent) wake_scheduler_->wake(id_);
+    if (wakes_ != nullptr) wakes_->wake(id_);
   }
 
-  /// Monotonic per-agent sequence for deterministic delivery ordering.
-  std::uint64_t next_send_seq() { return send_seq_++; }
-
-  /// Snapshot round trip (DESIGN.md §8). Subclasses with state beyond the
-  /// send sequence override and call the base first so every agent's bytes
-  /// start identically. The wake-scheduler binding, wake hint and audit
-  /// monotonicity fields are intentionally not serialized: they are
-  /// process-local plumbing, re-established when the agent registers with a
-  /// loop (restore conservatively re-wakes everyone, which is result-neutral
-  /// because an idle tick contributes nothing).
+  /// Snapshot round trip (DESIGN.md §8). Subclasses with state override and
+  /// call the base first so every agent's bytes start identically. The wake
+  /// binding and audit monotonicity fields are intentionally not serialized:
+  /// they are process-local plumbing, re-established when the agent
+  /// registers with a loop (restore conservatively re-wakes everyone, which
+  /// is result-neutral because an idle tick contributes nothing).
   virtual void archive_state(StateArchive& ar, HandlerRegistry& /*registry*/) {
     ar.section("agent");
-    ar.u64(send_seq_);
   }
 
 #if GDISIM_AUDIT_ENABLED
@@ -110,10 +102,7 @@ class Agent {
  private:
   std::string name_;  // ARCHIVE-TRANSIENT: construction-time identity; SnapshotCompat guards agent order
   AgentId id_ = kInvalidAgent;  // ARCHIVE-TRANSIENT: construction-time identity; SnapshotCompat guards agent order
-  // Loop wiring, rebound at registration; never archived.
-  AgentWakeScheduler* wake_scheduler_ = nullptr;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: loop wiring; rebound when agents register
-  const char* wake_hint_ = nullptr;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: loop wiring; rebound when agents register
-  std::uint64_t send_seq_ = 0;
+  DeliveryWakes* wakes_ = nullptr;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: loop wiring; rebound when agents register
 #if GDISIM_AUDIT_ENABLED
   Tick audit_last_tick_ = 0;  // ARCHIVE-TRANSIENT: audit diagnostic; re-arms after restore
   bool audit_ticked_ = false;  // ARCHIVE-TRANSIENT: audit diagnostic; re-arms after restore

@@ -42,7 +42,7 @@ class StateArchive {
  public:
   enum class Mode { kWrite, kRead };
 
-  static constexpr std::uint32_t kFormatVersion = 6;
+  static constexpr std::uint32_t kFormatVersion = 7;
 
   explicit StateArchive(Mode mode) : mode_(mode) {}
 

@@ -14,19 +14,11 @@ AgentId SimulationLoop::add_agent(Agent* agent) {
   agent->set_id(id);
   agents_.push_back(agent);
   if (active_mode_) {
-    agent->bind_wake_scheduler(this);
+    agent->bind_wakes(&wakes_);
     // Starts set: the agent is scheduled (immediate_) for its first
-    // iteration, so setup-time posts need not wake it. Each agent holds a
-    // pointer to its own flag, so a reallocation rebinds them all.
-    const char* flags_before = wake_flag_.data();
-    wake_flag_.push_back(1);
-    if (wake_flag_.data() == flags_before) {
-      agent->set_wake_hint(&wake_flag_.back());
-    } else {
-      for (AgentId a = 0; a <= id; ++a) agents_[a]->set_wake_hint(&wake_flag_[a]);
-    }
+    // iteration, so setup-time posts need not wake it.
+    wakes_.flag.push_back(1);
     epoch_mark_.push_back(0);
-    in_always_.push_back(0);
     calendar_.ensure_agents(agents_.size());
     // Every agent runs its first iteration, exactly like the dense sweep;
     // its own next_wake_tick answer takes over from there.
@@ -37,35 +29,25 @@ AgentId SimulationLoop::add_agent(Agent* agent) {
   return id;
 }
 
-void SimulationLoop::wake(AgentId id) {
-  // The flag means "a wake would be redundant": the agent is pending in
-  // woken_, admitted to the current iteration, or already scheduled in
-  // immediate_ — in every case it runs an interaction phase at the earliest
-  // tick a delivery could require, and rearm_active re-queries its wake time
-  // before parking it.
-  if (id >= wake_flag_.size() || wake_flag_[id] != 0) return;
-  wake_flag_[id] = 1;
-  woken_.push_back(id);
-}
-
 void SimulationLoop::admit(AgentId id) {
   if (epoch_mark_[id] == epoch_) return;
   epoch_mark_[id] = epoch_;
   // Admitted agents need no delivery wakes until rearm_active decides
   // otherwise.
-  wake_flag_[id] = 1;
+  wakes_.flag[id] = 1;
   active_.push_back(id);
 }
 
 void SimulationLoop::drain_woken() {
-  if (woken_.empty()) return;
+  std::vector<AgentId>& woken = wakes_.woken;
+  if (woken.empty()) return;
   // Admission order decides the order in which agents run their phases, so
   // it follows agent ids, not the order of the posts. Flags stay set: the
   // agents are active now, and rearm_active clears the flag if and when it
   // parks them.
-  std::sort(woken_.begin(), woken_.end());
-  for (AgentId id : woken_) admit(id);
-  woken_.clear();
+  std::sort(woken.begin(), woken.end());
+  for (AgentId id : woken) admit(id);
+  woken.clear();
 }
 
 void SimulationLoop::maybe_collect(Tick now) {
@@ -98,12 +80,11 @@ void SimulationLoop::step_dense(Tick now) {
 }
 
 void SimulationLoop::step_active(Tick now) {
-  // Build this iteration's active set: sticky always-active agents, agents
-  // due immediately, calendar wakes, and delivery wakes from the previous
-  // interaction phase / collection / pre-tick hooks.
+  // Build this iteration's active set: agents due immediately, calendar
+  // wakes, and delivery wakes from the previous interaction phase /
+  // collection / pre-tick hooks.
   active_.clear();
   ++epoch_;
-  for (AgentId id : always_active_) admit(id);
   for (AgentId id : immediate_) admit(id);
   immediate_.clear();
   calendar_.collect_due(now, [this](AgentId id) { admit(id); });
@@ -121,15 +102,9 @@ void SimulationLoop::step_active(Tick now) {
   // rule §4.3.3), so recipients woken by those posts join the set here.
   drain_woken();
 
-  // 2. Interaction step; each agent also reports its next wake time, which
-  //    rearm_active files once the phase is over.
+  // 2. Interaction step.
   const std::size_t n_inter = active_.size();
-  rearm_.resize(n_inter);
-  for (std::size_t i = 0; i < n_inter; ++i) {
-    Agent* a = agents_[active_[i]];
-    a->on_interactions(now + 1);
-    rearm_[i] = a->next_wake_tick(now + 1);
-  }
+  for (std::size_t i = 0; i < n_inter; ++i) agents_[active_[i]]->on_interactions(now + 1);
 
   stats_.agent_phase_runs += n_inter;
   stats_.last_active = n_inter;
@@ -143,39 +118,20 @@ void SimulationLoop::step_active(Tick now) {
 }
 
 void SimulationLoop::rearm_active(Tick now) {
+  // One wake query per active agent, once the interaction phase and the
+  // collection are over. After an agent's own phase, posts only add mail:
+  // an agent due then is still due now, and one that was not sees them all.
   const Tick next = now + 1;
-  for (std::size_t i = 0; i < rearm_.size(); ++i) {
-    const AgentId id = active_[i];
+  for (AgentId id : active_) {
     ++stats_.per_agent_runs[id];  // piggybacks on this pass over the set
-    Tick at = rearm_[i];
-    if (at == kEveryTick) {
-      if (!in_always_[id]) {
-        in_always_[id] = 1;
-        always_active_.push_back(id);
-      }
-      continue;  // wake flag stays set: the agent runs every iteration
-    }
-    if (in_always_[id]) {
-      in_always_[id] = 0;
-      always_active_.erase(std::find(always_active_.begin(), always_active_.end(), id));
-    }
-    if (at > next) {
-      // rearm_[i] was computed mid-phase; posts that landed after it (later
-      // in the same interaction phase, or from the collection callback) were
-      // suppressed by the still-set wake flag. The phase is over, so one
-      // authoritative re-query closes that window before the agent is
-      // parked or calendar-armed.
-      at = agents_[id]->next_wake_tick(next);
-    }
+    const Tick at = agents_[id]->next_wake_tick(next);
     if (at <= next) {
       immediate_.push_back(id);  // flag stays set: already scheduled
-    } else if (at == kNeverTick) {
-      wake_flag_[id] = 0;
-    } else {
-      // Calendar naps must remain interruptible by deliveries.
-      wake_flag_[id] = 0;
-      calendar_.arm(id, at, next);
+      continue;
     }
+    // Parked or napping: a delivery must be able to wake it.
+    wakes_.flag[id] = 0;
+    if (at != kNeverTick) calendar_.arm(id, at);
   }
 }
 
@@ -222,13 +178,11 @@ void SimulationLoop::archive_state(StateArchive& ar) {
     // re-parks it after one phase, so this cannot change results — it only
     // costs one dense-sized iteration, the same as the initial warm-up.
     active_.clear();
-    always_active_.clear();
-    std::fill(in_always_.begin(), in_always_.end(), 0);
     immediate_.clear();
-    calendar_ = WakeCalendar(calendar_.wheel_slots());
+    calendar_ = WakeCalendar();
     calendar_.ensure_agents(agents_.size());
-    woken_.clear();
-    std::fill(wake_flag_.begin(), wake_flag_.end(), 1);
+    wakes_.woken.clear();
+    std::fill(wakes_.flag.begin(), wakes_.flag.end(), 1);
     for (AgentId id = 0; id < static_cast<AgentId>(agents_.size()); ++id) immediate_.push_back(id);
   }
 }

@@ -16,10 +16,11 @@
 //                         collection callback samples the whole system.
 //
 // Scheduler modes (DESIGN.md "Scheduler"): the default active-set scheduler
-// runs the phases only for agents that are due — always-active agents,
-// calendar wakes reported via Agent::next_wake_tick, and agents woken by a
-// delivery posted to their inbox. kDenseSweep restores the original
-// run-everyone-every-tick loop and serves as the reference-run oracle.
+// runs the phases only for agents that are due — agents that asked for the
+// next tick, calendar wakes reported via Agent::next_wake_tick, and agents
+// woken by a delivery posted to their inbox. kDenseSweep restores the
+// original run-everyone-every-tick loop and serves as the reference-run
+// oracle.
 //
 // Every phase runs inline on the calling thread (DESIGN.md "Concurrency
 // model"); the Ch. 4 execution engines drive their own synthetic agents.
@@ -70,16 +71,20 @@ struct SchedulerStats {
   }
 };
 
-class SimulationLoop : public AgentWakeScheduler {
+class SimulationLoop {
  public:
   explicit SimulationLoop(SimLoopConfig config)
       : config_(config),
         clock_(config.tick_seconds),
         active_mode_(config.scheduler == SchedulerMode::kActiveSet) {}
 
+  /// Registered agents hold a pointer into the loop, so it never moves.
+  SimulationLoop(const SimulationLoop&) = delete;
+  SimulationLoop& operator=(const SimulationLoop&) = delete;
+
   /// Registers an agent (non-owning) and assigns its dense id. Under the
-  /// active-set scheduler this also binds the agent's wake hook; agents must
-  /// be registered before the run starts.
+  /// active-set scheduler this also binds the agent to the loop's delivery
+  /// wakes; agents must be registered before the run starts.
   AgentId add_agent(Agent* agent);
 
   /// Runs until simulated `end_tick` (exclusive).
@@ -101,9 +106,11 @@ class SimulationLoop : public AgentWakeScheduler {
     return active_mode_ ? SchedulerMode::kActiveSet : SchedulerMode::kDenseSweep;
   }
 
-  /// AgentWakeScheduler: ensures the agent participates in the next phase.
-  /// Posting to a bound Inbox calls this automatically.
-  void wake(AgentId id) override;
+  /// Ensures the agent participates in the next phase (a no-op under the
+  /// dense sweep). Posting to a bound Inbox requests the same wake.
+  void wake(AgentId id) {
+    if (id < wakes_.flag.size()) wakes_.wake(id);
+  }
 
   const SchedulerStats& scheduler_stats() const { return stats_; }
 
@@ -141,7 +148,7 @@ class SimulationLoop : public AgentWakeScheduler {
 
   SimLoopConfig config_;  // ARCHIVE-TRANSIENT: construction-time configuration
   TickClock clock_;  // ARCHIVE-TRANSIENT: construction-time configuration
-  std::vector<Agent*> agents_;
+  std::vector<Agent*> agents_;  // NOLINT(gdisim-snapshot-ptr) non-owning registry in id order; SnapshotCompat guards agent order
   std::function<void(Tick)> collect_cb_;  // ARCHIVE-TRANSIENT: construction-time wiring
   std::vector<std::function<void(Tick)>> pre_tick_hooks_;  // ARCHIVE-TRANSIENT: construction-time wiring
   Tick now_ = 0;
@@ -151,25 +158,18 @@ class SimulationLoop : public AgentWakeScheduler {
   /// Ids whose phases run this iteration; grows mid-iteration when tick-phase
   /// deliveries wake their recipients for the interaction phase.
   std::vector<AgentId> active_;
-  /// next_wake_tick answers gathered during the interaction phase (indexed
-  /// like active_).
-  std::vector<Tick> rearm_;  // ARCHIVE-TRANSIENT: active-set scratch; restore re-wakes every agent
-  /// Agents that answered kEveryTick — sticky members of every active set.
-  std::vector<AgentId> always_active_;
-  std::vector<char> in_always_;
-  /// Agents due next iteration (wake <= now + 1); bypasses the wheel.
+  /// Agents due next iteration (wake <= now + 1); kept out of the calendar.
   std::vector<AgentId> immediate_;
   WakeCalendar calendar_;
   /// Per-iteration dedup for admissions.
   std::vector<std::uint64_t> epoch_mark_;  // ARCHIVE-TRANSIENT: per-iteration dedup; restore re-wakes every agent
   std::uint64_t epoch_ = 0;  // ARCHIVE-TRANSIENT: per-iteration dedup; restore re-wakes every agent
 
-  // Delivery wakes: a per-agent flag dedups requests (cleared when
-  // rearm_active parks the agent; each agent also holds a pointer to its
-  // flag as a wake hint), and the ids of newly woken agents wait in woken_
-  // until the next drain_woken admits them in id order.
-  std::vector<char> wake_flag_;
-  std::vector<AgentId> woken_;
+  /// Delivery wakes, reached by every registered agent through one pointer:
+  /// the flag dedups requests (rearm_active clears it when it parks the
+  /// agent), and woken ids wait until the next drain_woken admits them in id
+  /// order.
+  DeliveryWakes wakes_;
 
   SchedulerStats stats_;
   double window_active_accum_ = 0.0;

@@ -21,10 +21,6 @@ using Tick = std::int64_t;
 /// Sentinel for "no deadline / never".
 inline constexpr Tick kNeverTick = std::numeric_limits<Tick>::max();
 
-/// Wake-policy sentinel (Agent::next_wake_tick): the agent wants the
-/// time-increment signal on every tick, like the original dense sweep.
-inline constexpr Tick kEveryTick = -1;
-
 /// The one checked double -> Tick conversion: a count of `ticks` truncated
 /// toward zero. A count at or beyond the Tick range (2^63, or +inf) is
 /// kNeverTick, a count at or below zero is 0, and NaN throws

@@ -63,7 +63,7 @@ class Topology {
   std::map<std::pair<DcId, DcId>, std::unique_ptr<LinkComponent>> links_;  // ARCHIVE-TRANSIENT: structural owners; links archive via the component walk
   std::map<std::pair<DcId, DcId>, bool> link_usable_;
   // routes_[from][to] = ordered links.
-  std::vector<std::vector<std::vector<LinkComponent*>>> routes_;  // ARCHIVE-TRANSIENT: derived cache; compute_routes() rebuilds on load
+  std::vector<std::vector<std::vector<LinkComponent*>>> routes_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: derived cache; compute_routes() rebuilds on load
   bool routes_ready_ = false;  // ARCHIVE-TRANSIENT: derived cache; compute_routes() rebuilds on load
 };
 

@@ -104,20 +104,11 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config, const Operatio
       rng_(Rng(config_.seed).split(config_.name)),
       ops_(*this, ctx, stable_hash(config_.name), &catalog) {
   set_name("clients/" + config_.name);
-  if (config_.behavior == ClientBehavior::kSessionScript && config_.session_script.empty()) {
-    throw std::invalid_argument("ClientPopulation: session script behavior without a script");
-  }
   if (!(config_.curve.peak() <= kMaxPeak)) {
     throw std::invalid_argument("ClientPopulation " + config_.name + ": peak exceeds " +
                                 std::to_string(kMaxPeak) + " clients");
   }
   slots_.resize(static_cast<std::size_t>(slots_for_peak(config_.curve.peak())));
-  // Stagger session starting points so scripted clients do not stampede the
-  // same operation simultaneously.
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    slots_[i].script_pos = static_cast<std::uint32_t>(
-        config_.session_script.empty() ? 0 : i % config_.session_script.size());
-  }
   // Scanning every slot on every tick dominates large scenarios; a 0.25 s
   // launch granularity is negligible against multi-second think times.
   scan_every_ = std::max<Tick>(1, clock_.to_ticks(0.25));
@@ -130,8 +121,6 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config, const Operatio
   for (const auto& [op, weight] : config_.mix.entries()) {
     mix_specs_.push_back(&catalog.get(op));
   }
-  script_specs_.reserve(config_.session_script.size());
-  for (const auto& op : config_.session_script) script_specs_.push_back(&catalog.get(op));
   rebuild_wake_index();
 }
 
@@ -225,10 +214,7 @@ void ClientPopulation::on_tick(Tick now) {
 
 void ClientPopulation::launch(std::uint32_t slot_idx, Tick now) {
   Slot& slot = slots_[slot_idx];
-  const CascadeSpec* spec =
-      config_.behavior == ClientBehavior::kSessionScript
-          ? script_specs_[slot.script_pos++ % script_specs_.size()]
-          : mix_specs_[config_.mix.sample_index(rng_.next_double())];
+  const CascadeSpec* spec = mix_specs_[config_.mix.sample_index(rng_.next_double())];
   double size_mb = config_.file_size_mb;
   if (config_.file_size_jitter > 0.0) {
     size_mb *= 1.0 + config_.file_size_jitter * (2.0 * rng_.next_double() - 1.0);
@@ -254,9 +240,7 @@ void ClientPopulation::on_interactions(Tick now) {
 
     Slot& slot = slots_[slot_idx];
     slot.busy = false;
-    const double think = config_.think_model == ThinkTimeModel::kFixed
-                             ? config_.think_time_mean_s
-                             : rng_.next_exponential(config_.think_time_mean_s);
+    const double think = rng_.next_exponential(config_.think_time_mean_s);
     slot.ready_at = saturating_add(end_tick, clock_.to_ticks(think));
     think_heap_.emplace_back(slot.ready_at, slot_idx);
     std::push_heap(think_heap_.begin(), think_heap_.end(), std::greater<>());
@@ -273,7 +257,6 @@ void ClientPopulation::archive_state(StateArchive& ar, HandlerRegistry& reg) {
   for (Slot& slot : slots_) {
     ar.i64(slot.ready_at);
     ar.boolean(slot.busy);
-    ar.u32(slot.script_pos);
   }
   ar.i64(next_scan_);
   ar.size_value(logged_in_);

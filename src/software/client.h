@@ -154,18 +154,6 @@ using OwnerSampler = std::function<DcId(DcId origin_dc, double uniform01)>;
 using LaunchRecorder = std::function<void(double t_seconds, const std::string& op,
                                           DcId origin, DcId owner, double size_mb)>;
 
-/// How a client chooses its next operation (thesis §9.2.1 extends the iid
-/// mix with realistic session behaviour).
-enum class ClientBehavior {
-  kIndependentMix,  ///< sample each operation iid from the mix
-  kSessionScript,   ///< each client walks `session_script` in order, looping
-};
-
-enum class ThinkTimeModel {
-  kExponential,  ///< memoryless think times (default)
-  kFixed,        ///< deterministic think times (clockwork clients)
-};
-
 struct ClientPopulationConfig {
   std::string name;  ///< e.g. "CAD@NA"
   DcId dc = 0;
@@ -175,12 +163,6 @@ struct ClientPopulationConfig {
   double file_size_mb = 50.0;       ///< size of files moved by OPEN/SAVE/...
   double file_size_jitter = 0.0;    ///< +- uniform fraction of file_size_mb
   std::uint64_t seed = 1;
-  ClientBehavior behavior = ClientBehavior::kIndependentMix;
-  /// Ordered workflow for kSessionScript (e.g. LOGIN, TEXT-SEARCH, OPEN,
-  /// SAVE); each client starts at a deterministic offset so the population
-  /// does not move in lockstep.
-  std::vector<std::string> session_script;
-  ThinkTimeModel think_model = ThinkTimeModel::kExponential;
 };
 
 class ClientPopulation final : public Agent {
@@ -234,7 +216,6 @@ class ClientPopulation final : public Agent {
   struct Slot {
     Tick ready_at = 0;
     bool busy = false;
-    std::uint32_t script_pos = 0;
   };
   /// Min-heap entry of the think-time wake index: (ready_at, slot index).
   using ThinkEntry = std::pair<Tick, std::uint32_t>;
@@ -251,10 +232,9 @@ class ClientPopulation final : public Agent {
   std::vector<Slot> slots_;
   Tick scan_every_ = 1;  // ARCHIVE-TRANSIENT: derived from config at construction
   Tick next_scan_ = 0;
-  /// Mix entries / session script pre-resolved to catalog specs so a launch
-  /// never does a string-keyed lookup.
+  /// Mix entries pre-resolved to catalog specs so a launch never does a
+  /// string-keyed lookup.
   std::vector<const CascadeSpec*> mix_specs_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
-  std::vector<const CascadeSpec*> script_specs_;  // NOLINT(gdisim-snapshot-ptr) ARCHIVE-TRANSIENT: construction-time wiring
   /// The operations in flight, one per busy slot; each carries its slot.
   InFlightOperations<std::uint32_t> ops_;
   // Launch-scan wake index (rebuilt from slots_ on restore): every non-busy

@@ -125,17 +125,17 @@ class GdisimRunArgs(unittest.TestCase):
                     self.check(["--config", path, "--hours", "0.01"] + extra, 1,
                                f"{path}:{line}: unknown directive 'regime'")
 
-    def test_version_5_snapshot_is_rejected(self):
+    def test_version_6_snapshot_is_rejected(self):
         with tempfile.TemporaryDirectory() as tmp:
-            snap = os.path.join(tmp, "v5.snap")
+            snap = os.path.join(tmp, "v6.snap")
             base = ["--config", TWO_SITE, "--quiet"]
             p = run(base + ["--hours", "0.01", "--checkpoint", snap])
             self.assertEqual(p.returncode, 0, p.stderr)
             with open(snap, "r+b") as f:
                 f.seek(8)  # the little-endian version field follows the magic
-                f.write((5).to_bytes(4, "little"))
+                f.write((6).to_bytes(4, "little"))
             self.check(base + ["--hours", "0.02", "--restore", snap], 1,
-                       f"{snap}:byte 8: format version 5, this build reads 6")
+                       f"{snap}:byte 8: format version 6, this build reads 7")
 
 
 if __name__ == "__main__":

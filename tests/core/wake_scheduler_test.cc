@@ -1,9 +1,10 @@
 // Active-set scheduler machinery (DESIGN.md "Scheduler"): the WakeCalendar
-// timing wheel (wrap-around, far-horizon heap, re-arm/disarm laziness) and
-// the SimulationLoop wake paths — quiescent agents parked via next_wake_tick
+// heap (exact-tick wakes, far horizons, re-arm/disarm laziness) and the
+// SimulationLoop wake paths — quiescent agents parked via next_wake_tick
 // must be revived by calendar wakes, inbox posts, and explicit wake() calls.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/sim_loop.h"
@@ -18,15 +19,10 @@ std::vector<AgentId> due_at(WakeCalendar& cal, Tick now) {
   return out;
 }
 
-TEST(WakeCalendar, RoundsSlotsToPowerOfTwo) {
-  WakeCalendar cal(100);
-  EXPECT_EQ(cal.wheel_slots(), 128u);
-}
-
 TEST(WakeCalendar, ArmAndCollectAtExactTick) {
-  WakeCalendar cal(8);
+  WakeCalendar cal;
   cal.ensure_agents(2);
-  cal.arm(0, 5, 0);
+  cal.arm(0, 5);
   for (Tick t = 0; t <= 10; ++t) {
     auto due = due_at(cal, t);
     if (t == 5) {
@@ -36,17 +32,16 @@ TEST(WakeCalendar, ArmAndCollectAtExactTick) {
       EXPECT_TRUE(due.empty()) << "tick " << t;
     }
   }
-  // Consumed: the arm does not repeat on the next wheel revolution.
+  // Consumed: the arm does not repeat.
   EXPECT_EQ(cal.armed_at(0), kNeverTick);
 }
 
 TEST(WakeCalendar, WrapAroundDoesNotAliasAcrossRevolutions) {
-  // Ticks 3 and 11 share slot 3 of an 8-slot wheel; the earlier tick must
-  // not fire the later reservation.
-  WakeCalendar cal(8);
+  // The earlier wake must not fire the later reservation.
+  WakeCalendar cal;
   cal.ensure_agents(2);
-  cal.arm(0, 3, 0);
-  cal.arm(1, 11, 3);  // filed from tick 3: 11 - 3 == wheel size -> far heap
+  cal.arm(0, 3);
+  cal.arm(1, 11);
   std::vector<std::pair<Tick, AgentId>> fired;
   for (Tick t = 0; t <= 12; ++t) {
     for (AgentId id : due_at(cal, t)) fired.emplace_back(t, id);
@@ -57,26 +52,28 @@ TEST(WakeCalendar, WrapAroundDoesNotAliasAcrossRevolutions) {
 }
 
 TEST(WakeCalendar, SameSlotWithinOneRevolution) {
-  // 10 - 2 < 8, so tick 10 files into slot 2 while an arm for tick 2 is
-  // still pending there; the slot sweep must separate them by armed time.
-  WakeCalendar cal(8);
-  cal.ensure_agents(2);
-  cal.arm(0, 2, 0);
-  cal.arm(1, 10, 2);
+  // Two agents due on one tick come out together, in id order whatever the
+  // order they were armed in; an earlier arm for another tick stays apart.
+  WakeCalendar cal;
+  cal.ensure_agents(3);
+  cal.arm(2, 10);
+  cal.arm(0, 2);
+  cal.arm(1, 10);
   std::vector<std::pair<Tick, AgentId>> fired;
   for (Tick t = 0; t <= 10; ++t) {
     for (AgentId id : due_at(cal, t)) fired.emplace_back(t, id);
   }
-  ASSERT_EQ(fired.size(), 2u);
+  ASSERT_EQ(fired.size(), 3u);
   EXPECT_EQ(fired[0], (std::pair<Tick, AgentId>{2, 0}));
   EXPECT_EQ(fired[1], (std::pair<Tick, AgentId>{10, 1}));
+  EXPECT_EQ(fired[2], (std::pair<Tick, AgentId>{10, 2}));
 }
 
 TEST(WakeCalendar, FarHorizonWakesThroughHeap) {
-  WakeCalendar cal(8);
+  WakeCalendar cal;
   cal.ensure_agents(1);
-  const Tick far = 1000;  // >> 8 slots
-  cal.arm(0, far, 0);
+  const Tick far = 1000;
+  cal.arm(0, far);
   for (Tick t = 0; t < far; ++t) EXPECT_TRUE(due_at(cal, t).empty()) << t;
   auto due = due_at(cal, far);
   ASSERT_EQ(due.size(), 1u);
@@ -84,10 +81,10 @@ TEST(WakeCalendar, FarHorizonWakesThroughHeap) {
 }
 
 TEST(WakeCalendar, RearmLaterKeepsOnlyTheNewTime) {
-  WakeCalendar cal(8);
+  WakeCalendar cal;
   cal.ensure_agents(1);
-  cal.arm(0, 4, 0);
-  cal.arm(0, 6, 0);  // overrides; slot-4 entry is now stale
+  cal.arm(0, 4);
+  cal.arm(0, 6);  // overrides; the tick-4 entry is now stale
   std::vector<std::pair<Tick, AgentId>> fired;
   for (Tick t = 0; t <= 8; ++t) {
     for (AgentId id : due_at(cal, t)) fired.emplace_back(t, id);
@@ -97,13 +94,15 @@ TEST(WakeCalendar, RearmLaterKeepsOnlyTheNewTime) {
 }
 
 TEST(WakeCalendar, RearmAcrossWrapRefilesStaleEntry) {
-  // Stale slot-3 entry is visited at tick 3 but the agent was re-armed to
-  // tick 11 (same slot, next revolution); the sweep must keep the
-  // reservation alive rather than dropping it.
-  WakeCalendar cal(8);
+  // The stale tick-3 entry surfaces at tick 3 after the agent was re-armed
+  // to tick 11, and again after a re-arm back to 3 and on to 11; only the
+  // live reservation may fire, once.
+  WakeCalendar cal;
   cal.ensure_agents(1);
-  cal.arm(0, 3, 0);
-  cal.arm(0, 11, 0);  // far heap from tick 0, but the slot entry is stale
+  cal.arm(0, 3);
+  cal.arm(0, 11);
+  cal.arm(0, 3);
+  cal.arm(0, 11);
   std::vector<std::pair<Tick, AgentId>> fired;
   for (Tick t = 0; t <= 12; ++t) {
     for (AgentId id : due_at(cal, t)) fired.emplace_back(t, id);
@@ -113,9 +112,9 @@ TEST(WakeCalendar, RearmAcrossWrapRefilesStaleEntry) {
 }
 
 TEST(WakeCalendar, DisarmCancelsPendingWake) {
-  WakeCalendar cal(8);
+  WakeCalendar cal;
   cal.ensure_agents(1);
-  cal.arm(0, 5, 0);
+  cal.arm(0, 5);
   cal.disarm(0);
   for (Tick t = 0; t <= 8; ++t) EXPECT_TRUE(due_at(cal, t).empty()) << t;
 }
@@ -159,12 +158,13 @@ class PosterAgent final : public Agent {
  public:
   PosterAgent(SleeperAgent* target, Tick post_at) : target_(target), post_at_(post_at) {}
   void on_tick(Tick now) override {
-    if (now == post_at_) target_->inbox.post(now + 1, id(), next_send_seq(), 42);
+    if (now == post_at_) target_->inbox.post(now + 1, id(), seq_++, 42);
   }
 
  private:
   SleeperAgent* target_;
   Tick post_at_;
+  std::uint64_t seq_ = 0;
 };
 
 TEST(ActiveSetLoop, CalendarWakeRunsAgentOnlyAtRequestedTick) {
@@ -199,6 +199,27 @@ TEST(ActiveSetLoop, PostWhileQuiescentWakesReceiverSameIteration) {
   EXPECT_EQ(sleeper.ticks[0], 0);
 }
 
+TEST(ActiveSetLoop, PostAfterReceiversPhaseKeepsItDue) {
+  // The sleeper drains a tick-phase post in the interaction phase of now=4;
+  // then the collection at tick 5 posts to it again. Only a wake query made
+  // after the collection sees that second message: an answer taken during
+  // the sleeper's own phase would park it with mail in its inbox.
+  for (SchedulerMode mode : {SchedulerMode::kActiveSet, SchedulerMode::kDenseSweep}) {
+    SimulationLoop loop({0.01, 5, mode});
+    SleeperAgent sleeper;
+    PosterAgent poster(&sleeper, 4);
+    loop.add_agent(&sleeper);
+    const AgentId poster_id = loop.add_agent(&poster);
+    loop.set_collect_callback([&sleeper, poster_id](Tick t) {
+      if (t == 5) sleeper.inbox.post(t + 1, poster_id, 1, 7);
+    });
+    loop.run_until(12);
+    ASSERT_EQ(sleeper.received.size(), 2u) << "dense sweep: " << (mode == SchedulerMode::kDenseSweep);
+    EXPECT_EQ(sleeper.received[0], 42);
+    EXPECT_EQ(sleeper.received[1], 7);
+  }
+}
+
 TEST(ActiveSetLoop, ExplicitWakeReactivatesParkedAgent) {
   SimulationLoop loop({0.01, 0});
   SleeperAgent sleeper;
@@ -222,7 +243,8 @@ TEST(ActiveSetLoop, DenseSweepIgnoresWakePolicy) {
 
 TEST(ActiveSetLoop, EveryTickAgentStaysActive) {
   SimulationLoop loop({0.01, 0});
-  // Base Agent answers kEveryTick: active-set behaviour must match dense.
+  // The base Agent answers the next tick: active-set behaviour must match
+  // dense.
   class Dense final : public Agent {
    public:
     void on_tick(Tick now) override { ticks.push_back(now); }

@@ -593,7 +593,7 @@ class InstantFeeder final : public Agent {
     for (const auto& [at, work] : instant_) {
       if (at == now) target_.account_instant(work, now);
     }
-    if (now == job_tick_) target_.submit(now + 1, id(), next_send_seq(), StageJob{job_work_, handler_});
+    if (now == job_tick_) target_.submit(now + 1, id(), /*seq=*/0, StageJob{job_work_, handler_});
   }
 
  private:

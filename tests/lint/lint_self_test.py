@@ -64,6 +64,13 @@ EXPECTED = {
         (72, "gdisim-nolint-reason", False),
         (76, "gdisim-nolint-reason", False),
         (77, "gdisim-wall-clock", True),
+        # A pointer inside template arguments and a mutable pointer are
+        # flagged; the owning unique_ptr container is only unarchived.
+        (83, "gdisim-snapshot-ptr", False),
+        (83, MISSING, False),
+        (84, "gdisim-snapshot-ptr", False),
+        (84, MISSING, False),
+        (85, MISSING, False),
     },
     "suppressed.cc": {
         (10, "gdisim-ptr-key-decl", True),
@@ -72,6 +79,10 @@ EXPECTED = {
         (19, "gdisim-getenv", True),
         (26, "gdisim-snapshot-ptr", True),
         (26, MISSING, True),
+        (31, "gdisim-snapshot-ptr", True),
+        (31, MISSING, True),
+        (32, "gdisim-snapshot-ptr", True),
+        (32, MISSING, True),
     },
     "clean.cc": set(),
     "archive/missing_field.cc": {

@@ -159,7 +159,7 @@ class OneShotSender final : public Agent {
 
   void on_tick(Tick now) override {
     if (!sent_ && now >= send_at_) {
-      target_->submit(now + 1, id(), next_send_seq(), StageJob{work_, handler_, 99, 1});
+      target_->submit(now + 1, id(), /*seq=*/0, StageJob{work_, handler_, 99, 1});
       sent_ = true;
     }
   }

@@ -37,6 +37,8 @@
 #            row back in band), and its checked block must equal the one in
 #            EXPERIMENTS.md
 #   release/audit/asan/ubsan/tsan   CMake presets: configure + build + ctest
+#            (each in its own build-<preset>/ tree, so a plain `cmake -B build`
+#            tree next to them is left alone)
 #
 # Sanitizer suites run the full tier-1 ctest set; on small hosts expect the
 # tsan leg to dominate wall time (the suites of the Ch. 4 runtime in
@@ -86,10 +88,10 @@ run_tidy() {
   sources=$(git ls-files 'src/*.cc' 'tools/*.cc' 'bench/ch4/*.cc')
   if command -v run-clang-tidy >/dev/null 2>&1; then
     # shellcheck disable=SC2086
-    run-clang-tidy -p build -quiet -j "$JOBS" $sources
+    run-clang-tidy -p build-release -quiet -j "$JOBS" $sources
   else
     # shellcheck disable=SC2086
-    clang-tidy -p build --quiet $sources
+    clang-tidy -p build-release --quiet $sources
   fi
 }
 
@@ -97,7 +99,7 @@ run_smoke() {
   echo "=== [smoke] determinism fingerprint: active set vs dense sweep ==="
   cmake --preset release >/dev/null
   cmake --build --preset release -j "$JOBS" --target gdisim_run >/dev/null
-  local bin=build/tools/gdisim_run
+  local bin=build-release/tools/gdisim_run
   local fpA fpD
   # shellcheck disable=SC2086
   fpA=$("$bin" $SMOKE_ARGS --quiet --fingerprint | grep '^fingerprint:')
@@ -151,7 +153,7 @@ run_snapshot() {
     cmake --preset "$preset" >/dev/null
     cmake --build --preset "$preset" -j "$JOBS" --target gdisim_run >/dev/null
   done
-  snapshot_check release build/tools/gdisim_run
+  snapshot_check release build-release/tools/gdisim_run
   snapshot_check audit build-audit/tools/gdisim_run
   echo "snapshot: restore and periodic-checkpoint runs match the uninterrupted fingerprint"
 }
@@ -187,7 +189,7 @@ run_repro() {
   out=$(mktemp)
   # Clear the trap as it fires: RETURN traps outlive the function otherwise.
   trap 'rm -f "${out:-}"; trap - RETURN' RETURN
-  build/bench/gdisim_repro >"$out" || {
+  build-release/bench/gdisim_repro >"$out" || {
     echo "repro: gdisim_repro failed (rows above)" >&2
     return 1
   }

@@ -76,3 +76,12 @@ long reasonless_nextline() {
   // NOLINTNEXTLINE
   return time(nullptr);
 }
+
+// A raw pointer inside template arguments or behind `mutable` is flagged
+// too; an owning std::unique_ptr container is not.
+struct SnapshotRegistry {
+  std::vector<Job*> members;                // gdisim-snapshot-ptr
+  mutable Job* cached = nullptr;            // gdisim-snapshot-ptr
+  std::map<int, std::unique_ptr<Job>> owned;
+  void archive_state(StateArchive& ar);
+};

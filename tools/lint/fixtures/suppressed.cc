@@ -26,3 +26,9 @@ struct SnapshotState {
   Job* owner;  // travels as a stable id  NOLINT(gdisim-snapshot-ptr, gdisim-archive-missing-field)
   void archive_state(StateArchive& ar);
 };
+
+struct SnapshotIndex {
+  std::vector<const Job*> members;  // travel as stable ids  NOLINT(gdisim-snapshot-ptr, gdisim-archive-missing-field)
+  mutable Job* cached = nullptr;  // rebuilt on load  NOLINT(gdisim-snapshot-ptr, gdisim-archive-missing-field)
+  void archive_state(StateArchive& ar);
+};

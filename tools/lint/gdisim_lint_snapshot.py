@@ -59,11 +59,14 @@ RULES = {
     "(// ARCHIVE-TRANSIENT: <reason>)",
 }
 
-# A raw-pointer member declaration: `Type* name;`, `const T* n = nullptr;`.
+# A raw-pointer member declaration: `Type* name;`, `const T* n = nullptr;`,
+# `mutable T* cache_;`, or a template whose arguments hold a raw pointer,
+# `std::vector<Agent*> agents_;` (an owning `std::unique_ptr<T>` holds none).
 # Parens are excluded everywhere so function/method declarations returning
 # pointers (and function-pointer members) never match.
 _PTR_FIELD = re.compile(
-    r"^\s*(?:const\s+)?[A-Za-z_][\w:]*(?:<[^;()]*>)?\s*\*\s*(?:const\s+)?"
+    r"^\s*(?:mutable\s+)?(?:const\s+)?[A-Za-z_][\w:]*"
+    r"(?:<[^;()]*\*[^;()]*>\s*|(?:<[^;()]*>)?\s*\*\s*(?:const\s+)?)"
     r"[A-Za-z_]\w*\s*(?:=\s*[^;()]*|\{[^;()]*\})?\s*;"
 )
 
